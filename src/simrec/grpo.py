@@ -24,7 +24,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -227,18 +227,6 @@ class VectorLookup(Protocol):
     def item_vector(self, item: ItemId) -> np.ndarray: ...
 
 
-class _MappingLookup:
-    def __init__(self, users: Mapping[UserId, np.ndarray], items: Mapping[ItemId, np.ndarray]):
-        self._users = users
-        self._items = items
-
-    def user_vector(self, user: UserId) -> np.ndarray:
-        return np.asarray(self._users[user], dtype=float)
-
-    def item_vector(self, item: ItemId) -> np.ndarray:
-        return np.asarray(self._items[item], dtype=float)
-
-
 class ToySoftmaxPolicy(Policy):
     """Bilinear softmax policy over episode candidates.
 
@@ -251,16 +239,14 @@ class ToySoftmaxPolicy(Policy):
 
     def __init__(
         self,
-        vectors: VectorLookup | tuple[Mapping[UserId, np.ndarray], Mapping[ItemId, np.ndarray]],
+        vectors: VectorLookup,
         dim: int,
         temperature: float = 2.5,
         weights: np.ndarray | None = None,
     ) -> None:
         if temperature <= 0.0:
             raise ValueError("temperature must be positive")
-        self._vectors: VectorLookup = (
-            _MappingLookup(*vectors) if isinstance(vectors, tuple) else vectors
-        )
+        self._vectors = vectors
         self.dim = dim
         self.temperature = temperature
         self.W = np.zeros((dim, dim)) if weights is None else np.array(weights, dtype=float)

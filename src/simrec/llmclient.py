@@ -29,6 +29,10 @@ class TransportError(ClientError):
     """The endpoint could not be reached or kept failing after retries."""
 
 
+class PermanentTransportError(TransportError):
+    """A failure that retrying the same request cannot fix; never retried."""
+
+
 class ProtocolError(ClientError):
     """The endpoint answered, but not with a usable completion."""
 
@@ -121,6 +125,8 @@ class HttpTransport(Transport):
             with urllib.request.urlopen(request, timeout=self.cfg.timeout) as response:
                 return json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
+            if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                raise PermanentTransportError(f"{url}: HTTP {exc.code}") from exc
             raise TransportError(f"{url}: HTTP {exc.code}") from exc
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
             raise TransportError(f"{url}: {exc}") from exc
@@ -209,7 +215,7 @@ class ReplayTransport(Transport):
     """Serves recorded responses keyed by the exact request payload.
 
     Repeated identical requests replay their recorded responses in order.
-    An unrecorded request is a transport error.
+    An unrecorded request is a permanent transport error.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -228,7 +234,7 @@ class ReplayTransport(Transport):
         with self._lock:
             queue = self._responses.get(key)
             if not queue:
-                raise TransportError(f"{self.path}: no recorded response for request")
+                raise PermanentTransportError(f"{self.path}: no recorded response for request")
             return queue.pop(0)
 
 
@@ -256,7 +262,8 @@ def complete(
     """Send one chat request and return the first choice's message content.
 
     Transport failures are retried up to ``cfg.max_retries`` times with
-    exponential backoff; a malformed success body raises ProtocolError.
+    exponential backoff, except a PermanentTransportError, which is raised at
+    once; a malformed success body raises ProtocolError.
     """
     if transport is None:
         transport = HttpTransport(cfg)
@@ -265,6 +272,10 @@ def complete(
     for attempt in range(cfg.max_retries + 1):
         try:
             body = transport.send(payload)
+        except PermanentTransportError:
+            if stats is not None:
+                stats.record(attempt + 1)
+            raise
         except TransportError as exc:
             last_error = exc
             if attempt < cfg.max_retries and cfg.backoff_base > 0:

@@ -2,10 +2,12 @@
 
 Three lightweight recall models (popularity, first-order transitions, feature
 embeddings) stand in for heavier sequential recommenders; the evaluation
-harness can score any generator exposing ``fit`` + ``top_k``. Leave-one-out
+harness can score any generator exposing ``fit`` + ``scores``, from which
+``CandidateGenerator`` builds both ``top_k`` and ``rank``. Leave-one-out
 protocol: each user's last interaction is held out and ranked against the full
 catalog minus that user's training items (ranks are 1-based; ties break by
-item id so rankings are deterministic).
+item id so rankings are deterministic). A rank is counted, not sorted: it is 1
+plus the number of unseen items that beat the target.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,81 +29,121 @@ from .core import BehaviorRecord, Item, ItemId, UserHistory, UserId
 logger = logging.getLogger(__name__)
 
 
+@lru_cache(maxsize=1)
+def _catalog_index(ids: tuple[ItemId, ...]) -> tuple[tuple[ItemId, ...], dict[ItemId, int]]:
+    """Sorted ids and their positions, shared (read-only) by generators fitted on one catalog.
+
+    Holding one index per catalog rather than one per generator keeps peak
+    memory flat when several models are fitted and ranked side by side.
+    """
+    return ids, {item: pos for pos, item in enumerate(ids)}
+
+
 class CandidateGenerator(ABC):
-    """A fitted recall model producing ranked, history-excluding candidates."""
+    """A fitted recall model that scores every catalog item for a user.
+
+    Subclasses implement ``fit`` and ``scores``; ``top_k`` and ``rank`` are
+    built on ``scores`` here, so every generator orders items the same way:
+    higher score first, ties to the smaller item id, history items excluded.
+    """
+
+    _ids: tuple[ItemId, ...] | None = None  # sorted catalog, the index order of ``scores``
+    _index: dict[ItemId, int]
 
     @abstractmethod
     def fit(self, histories: Sequence[UserHistory], catalog: dict[ItemId, Item]) -> None:
         """Learn from training histories over the given catalog."""
 
     @abstractmethod
+    def scores(self, history: UserHistory) -> np.ndarray:
+        """One score per item of the sorted catalog; higher ranks first."""
+
+    def _set_catalog(self, catalog: dict[ItemId, Item]) -> None:
+        self._ids, self._index = _catalog_index(tuple(sorted(catalog)))
+
+    def _seen(self, history: UserHistory) -> list[int]:
+        """Catalog positions of the history's items."""
+        if self._ids is None:
+            raise RuntimeError(f"{type(self).__name__} has not been fitted")
+        return [self._index[b.item] for b in history.behaviors if b.item in self._index]
+
     def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
         """Ranked candidates for a user, excluding items already in ``history``.
 
         ``k=None`` returns the full ranking over the catalog.
         """
+        seen = self._seen(history)
+        order = np.argsort(-self.scores(history), kind="stable")
+        unseen = np.ones(len(order), dtype=bool)
+        unseen[seen] = False
+        ids = self._ids
+        return [ids[i] for i in order[unseen[order]][:k]]
 
-    def _require_fitted(self, ranked: list[ItemId] | None) -> list[ItemId]:
-        if ranked is None:
-            raise RuntimeError(f"{type(self).__name__} has not been fitted")
-        return ranked
+    def rank(self, history: UserHistory, item: ItemId) -> int | None:
+        """1-based position of ``item`` in ``top_k(history, None)``, by counting.
 
-    @staticmethod
-    def _exclude(ranked: Iterable[ItemId], history: UserHistory, k: int | None) -> list[ItemId]:
-        seen = set(history.item_ids())
-        out = [item for item in ranked if item not in seen]
-        return out if k is None else out[:k]
+        ``None`` when the item is in the history or not in the catalog.
+        """
+        seen = self._seen(history)
+        pos = self._index.get(item)
+        if pos is None or pos in seen:
+            return None
+        scores = self.scores(history)
+        target = scores[pos]
+        beats = scores > target
+        beats[:pos] |= scores[:pos] == target
+        beats[seen] = False
+        return 1 + int(np.count_nonzero(beats))
+
+
+def _popularity(histories: Sequence[UserHistory], ids: Sequence[ItemId]) -> np.ndarray:
+    """Interaction count of each item in ``ids`` over the histories."""
+    counts = Counter(b.item for h in histories for b in h.behaviors)
+    return np.array([counts[i] for i in ids], dtype=np.int64)
 
 
 class PopularityGenerator(CandidateGenerator):
     """Ranks the catalog by global interaction count."""
 
-    def __init__(self) -> None:
-        self._ranked: list[ItemId] | None = None
-
     def fit(self, histories: Sequence[UserHistory], catalog: dict[ItemId, Item]) -> None:
         if not histories:
             raise ValueError("need non-empty training histories")
-        counts = Counter(b.item for h in histories for b in h.behaviors)
-        self._ranked = sorted(catalog, key=lambda i: (-counts[i], i))
+        self._set_catalog(catalog)
+        self._counts = _popularity(histories, self._ids)
+        self._counts.setflags(write=False)
 
-    def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
-        return self._exclude(self._require_fitted(self._ranked), history, k)
+    def scores(self, history: UserHistory) -> np.ndarray:
+        return self._counts
 
 
 class MarkovGenerator(CandidateGenerator):
     """Ranks by first-order transition counts from the user's last item.
 
-    Items never seen after the context item fall back to popularity order.
+    Items never seen after the context item fall back to popularity order, as
+    do ties in transition count. Transitions to items outside the catalog are
+    never candidates.
     """
-
-    def __init__(self) -> None:
-        self._transitions: dict[ItemId, Counter] | None = None
-        self._popular: list[ItemId] | None = None
-        self._counts: Counter | None = None
 
     def fit(self, histories: Sequence[UserHistory], catalog: dict[ItemId, Item]) -> None:
         if not histories:
             raise ValueError("need non-empty training histories")
+        self._set_catalog(catalog)
         transitions: dict[ItemId, Counter] = defaultdict(Counter)
-        counts = Counter(b.item for h in histories for b in h.behaviors)
         for history in histories:
             items = history.item_ids()
             for prev, nxt in zip(items, items[1:]):
-                transitions[prev][nxt] += 1
+                if nxt in self._index:
+                    transitions[prev][nxt] += 1
         self._transitions = dict(transitions)
-        self._counts = counts
-        self._popular = sorted(catalog, key=lambda i: (-counts[i], i))
+        self._counts = _popularity(histories, self._ids)
+        # one transition outweighs any popularity gap, so counts only break ties
+        self._weight = int(self._counts.max(initial=0)) + 1
 
-    def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
-        popular = self._require_fitted(self._popular)
-        assert self._transitions is not None and self._counts is not None
-        last = history.behaviors[-1].item
-        trans = self._transitions.get(last, Counter())
-        head = sorted(trans, key=lambda i: (-trans[i], -self._counts[i], i))
-        head_set = set(head)
-        tail = [item for item in popular if item not in head_set]
-        return self._exclude(head + tail, history, k)
+    def scores(self, history: UserHistory) -> np.ndarray:
+        scores = self._counts.copy()
+        for item, n in self._transitions.get(history.behaviors[-1].item, {}).items():
+            scores[self._index[item]] += self._weight * n
+        return scores
 
 
 class EmbeddingGenerator(CandidateGenerator):
@@ -110,11 +153,6 @@ class EmbeddingGenerator(CandidateGenerator):
     hook through which enhanced captions feed back into recall quality.
     """
 
-    def __init__(self) -> None:
-        self._ids: list[ItemId] | None = None
-        self._features: np.ndarray | None = None
-        self._index: dict[ItemId, int] = {}
-
     def fit(self, histories: Sequence[UserHistory], catalog: dict[ItemId, Item]) -> None:
         if not histories:
             raise ValueError("need non-empty training histories")
@@ -123,20 +161,15 @@ class EmbeddingGenerator(CandidateGenerator):
             raise ValueError(
                 f"{len(missing)} catalog item(s) lack feature vectors (e.g. {missing[0]!r})"
             )
-        self._ids = sorted(catalog)
+        self._set_catalog(catalog)
         self._features = np.array([catalog[i].feature for i in self._ids], dtype=float)
-        self._index = {item: pos for pos, item in enumerate(self._ids)}
 
-    def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
-        ids = self._require_fitted(self._ids)
-        assert self._features is not None
-        rows = [self._index[b.item] for b in history.behaviors if b.item in self._index]
+    def scores(self, history: UserHistory) -> np.ndarray:
+        rows = self._seen(history)
         if not rows:
             raise ValueError(f"user {history.user!r}: no history item has a feature vector")
         profile = self._features[rows].mean(axis=0)
-        scores = self._features @ profile
-        ranked = [ids[i] for i in sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))]
-        return self._exclude(ranked, history, k)
+        return self._features @ profile
 
 
 class RandomGenerator(CandidateGenerator):
@@ -144,15 +177,17 @@ class RandomGenerator(CandidateGenerator):
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._ranked: list[ItemId] | None = None
 
     def fit(self, histories: Sequence[UserHistory], catalog: dict[ItemId, Item]) -> None:
         rng = np.random.default_rng(self.seed)
-        ids = sorted(catalog)
-        self._ranked = [ids[i] for i in rng.permutation(len(ids))]
+        self._set_catalog(catalog)
+        n = len(self._ids)
+        self._scores = np.empty(n, dtype=np.int64)
+        self._scores[rng.permutation(n)] = np.arange(n, 0, -1)
+        self._scores.setflags(write=False)
 
-    def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
-        return self._exclude(self._require_fitted(self._ranked), history, k)
+    def scores(self, history: UserHistory) -> np.ndarray:
+        return self._scores
 
 
 def fit_popularity(
@@ -262,12 +297,7 @@ def holdout_ranks(
         if len(history) < 2:
             raise ValueError(f"user {history.user!r}: evaluation needs at least 2 behaviors")
         prefix = history.training_view()
-        ranked = generator.top_k(prefix, None)
-        target = history.target().item
-        try:
-            rank: int | None = ranked.index(target) + 1
-        except ValueError:
-            rank = None
+        rank = generator.rank(prefix, history.target().item)
         out.append((rank, len(prefix) <= COLD_MAX_TRAIN_INTERACTIONS))
     return out
 

@@ -1,4 +1,6 @@
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -8,7 +10,9 @@ from simrec.llmclient import (
     ClientError,
     ClientStats,
     EndpointConfig,
+    HttpTransport,
     MockTransport,
+    PermanentTransportError,
     ProtocolError,
     RecordingTransport,
     ReplayTransport,
@@ -52,6 +56,50 @@ class TestComplete:
         cfg = EndpointConfig(max_retries=3, backoff_base=0.5)
         complete(request(), cfg, transport=transport, sleep=sleeps.append)
         assert sleeps == [0.5, 1.0, 2.0]
+
+    def test_permanent_error_is_not_retried(self):
+        sleeps = []
+        stats = ClientStats()
+        transport = MockTransport(script=[PermanentTransportError("HTTP 404")])
+        cfg = EndpointConfig(max_retries=3, backoff_base=0.5)
+        with pytest.raises(PermanentTransportError, match="404"):
+            complete(request(), cfg, transport=transport, stats=stats, sleep=sleeps.append)
+        assert transport.calls == 1
+        assert sleeps == []
+        assert (stats.requests, stats.retries) == (1, 0)
+
+    def test_replay_miss_is_not_retried(self, tmp_path):
+        log = tmp_path / "replay.jsonl"
+        log.write_text("")
+        sends = []
+
+        class CountingReplay(ReplayTransport):
+            def send(self, payload):
+                sends.append(payload)
+                return super().send(payload)
+
+        sleeps = []
+        stats = ClientStats()
+        cfg = EndpointConfig(max_retries=3, backoff_base=0.5)
+        with pytest.raises(PermanentTransportError, match="no recorded response"):
+            complete(request(), cfg, transport=CountingReplay(log), stats=stats, sleep=sleeps.append)
+        assert len(sends) == 1
+        assert sleeps == []
+        assert stats.retries == 0
+
+    @pytest.mark.parametrize("code, retried", [(400, False), (401, False), (404, False),
+                                               (408, True), (429, True), (500, True), (503, True)])
+    def test_http_status_decides_retry(self, monkeypatch, code, retried):
+        def refuse(req, timeout):
+            raise urllib.error.HTTPError(req.full_url, code, "refused", None, None)
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        sleeps = []
+        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2, backoff_base=0.5)
+        with pytest.raises(TransportError, match=f"HTTP {code}") as info:
+            complete(request(), cfg, transport=HttpTransport(cfg), sleep=sleeps.append)
+        assert isinstance(info.value, PermanentTransportError) is not retried
+        assert sleeps == ([0.5, 1.0] if retried else [])
 
     def test_empty_choices_is_protocol_error(self):
         transport = MockTransport(script=[{"choices": []}])

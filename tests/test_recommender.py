@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simrec.core import BehaviorRecord, Item, UserHistory
 from simrec.recommender import (
     CandidateGenerator,
     PopularityGenerator,
+    RandomGenerator,
     augment_with_feedback,
     classification_metrics,
     evaluate_leave_one_out,
@@ -97,18 +100,104 @@ class TestGenerators:
             fit_popularity([], catalog_of("A"))
 
 
+OUTSIDE = ("x0", "x1")  # items that histories mention but the catalog lacks
+
+
+@st.composite
+def tied_worlds(draw):
+    """A small catalog with integer features, plus histories and a query view.
+
+    Few items, few distinct feature values and short histories make equal
+    popularity counts, equal transition counts and equal dot products common.
+    """
+    ids = [f"i{j}" for j in range(draw(st.integers(1, 7)))]
+    vec = st.tuples(st.integers(-1, 1), st.integers(-1, 1)).map(lambda v: tuple(map(float, v)))
+    catalog = catalog_of(*ids, features={i: draw(vec) for i in ids})
+    any_item = st.sampled_from(ids + list(OUTSIDE))
+    train = draw(st.lists(st.lists(any_item, min_size=1, max_size=6), min_size=1, max_size=6))
+    histories = [history(f"u{n}", items) for n, items in enumerate(train)]
+    # the first item is in the catalog, so the embedding profile is defined
+    view = history("q", [draw(st.sampled_from(ids))] + draw(st.lists(any_item, max_size=4)))
+    return catalog, histories, view
+
+
+def fit_random(histories, catalog):
+    gen = RandomGenerator(seed=3)
+    gen.fit(histories, catalog)
+    return gen
+
+
+GENERATORS = {
+    "popularity": fit_popularity,
+    "markov": fit_markov,
+    "embedding": fit_embedding,
+    "random": fit_random,
+}
+
+
+@pytest.mark.parametrize("model", sorted(GENERATORS))
+@settings(max_examples=100, deadline=None)
+@given(world=tied_worlds(), k=st.integers(0, 8))
+def test_rank_and_top_k_agree(model, world, k):
+    catalog, histories, view = world
+    gen = GENERATORS[model](histories, catalog)
+    full = gen.top_k(view, None)
+    assert gen.top_k(view, k) == full[:k]
+    assert sorted(full) == sorted(set(catalog) - set(view.item_ids()))
+    for item in [*catalog, *OUTSIDE]:
+        if item in full:
+            assert gen.rank(view, item) == full.index(item) + 1
+        else:
+            assert gen.rank(view, item) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(world=tied_worlds())
+@example(  # one transition must outweigh a popularity lead of one
+    world=(
+        catalog_of("i0", "i1", "i2"),
+        [history("u1", ["i2", "i1"]), history("u2", ["i0", "i0"])],
+        history("q", ["i2"]),
+    )
+)
+def test_markov_orders_by_transitions_then_popularity(world):
+    catalog, histories, view = world
+    counts = {i: sum(h.item_ids().count(i) for h in histories) for i in catalog}
+    last = view.item_ids()[-1]
+    trans = {i: 0 for i in catalog}
+    for h in histories:
+        items = h.item_ids()
+        for prev, nxt in zip(items, items[1:]):
+            if prev == last and nxt in catalog:
+                trans[nxt] += 1
+    unseen = [i for i in catalog if i not in view.item_ids()]
+    want = sorted(unseen, key=lambda i: (-trans[i], -counts[i], i))
+    assert fit_markov(histories, catalog).top_k(view, None) == want
+
+
+def test_markov_never_offers_items_outside_the_catalog():
+    histories = [history("u1", ["A", "x0"]), history("u2", ["A", "x0"]), history("u3", ["A", "B"])]
+    gen = fit_markov(histories, catalog_of("A", "B", "C"))
+    assert gen.top_k(history("q", ["A"]), None) == ["B", "C"]
+    assert gen.rank(history("q", ["A"]), "x0") is None
+
+
 class CannedRanker(CandidateGenerator):
-    """Maps user id to a canned full ranking (already history-excluded)."""
+    """Scores each user's canned ranking in order; the catalog is every ranked item."""
 
     def __init__(self, rankings):
         self.rankings = rankings
+        self.fit([], {item: None for ranked in rankings.values() for item in ranked})
 
     def fit(self, histories, catalog):
-        pass
+        self._set_catalog(catalog)
 
-    def top_k(self, history, k):
+    def scores(self, history):
         ranked = self.rankings[history.user]
-        return ranked if k is None else ranked[:k]
+        out = np.zeros(len(self._ids))
+        for place, item in enumerate(ranked):
+            out[self._index[item]] = len(ranked) - place
+        return out
 
 
 class TestLeaveOneOut:
@@ -123,7 +212,7 @@ class TestLeaveOneOut:
 
     def test_ranks_computed_from_generator(self):
         histories = [history("u1", ["A", "B", "T"]), history("u2", ["A", "C", "Z"])]
-        rankings = {"u1": ["T", "C", "Z"], "u2": ["T", "C", "Z"]}
+        rankings = {"u1": ["T", "C", "Z"], "u2": ["T", "B", "Z"]}  # none in the user's history
         pairs = holdout_ranks(CannedRanker(rankings), histories)
         assert pairs[0] == (1, True)   # T found at rank 1; 2 train items -> cold
         assert pairs[1] == (3, True)   # Z at rank 3
