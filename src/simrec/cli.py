@@ -7,14 +7,19 @@ grouped policy optimization), and ``rerank`` (before/after metrics around
 feedback augmentation).
 
 Every command resolves its settings as defaults < --config JSON < explicit
-flags, writes the resolved config plus input-file digests into
-``<out>/manifest.json``, and exits 0 on success, 2 on usage/input errors, and
-1 on internal errors.
+flags (``train-toy`` reads its --world-spec file between the two), writes the
+resolved config plus input-file digests into ``<out>/manifest.json``, and
+exits 0 on success, 2 on usage/input errors, and 1 on internal errors.
+
+Each command's settings are declared once, in ``_COMMANDS``: the table builds
+the argparse sub-parsers and the defaults, and checks every value read from a
+JSON file against the type and choices of the flag it stands for.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -32,7 +37,7 @@ from .grpo import (
     evaluate_policy,
     train,
 )
-from .fixtures import simulation_request
+from .fixtures import SIM_MODEL, simulation_request
 from .ipagent import DEFAULT_CAPTION_MODEL, batch_augment
 from .llmclient import (
     ClientError,
@@ -65,6 +70,26 @@ class InputError(ValueError):
 _GENERATORS = {"popularity": fit_popularity, "markov": fit_markov, "embedding": fit_embedding}
 
 
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """One setting of a command.
+
+    ``type`` is ``str``, ``int`` or ``float`` (the flag's argparse type and the
+    JSON type a file must give), or ``tuple`` for a history length: an integer
+    or a [low, high] pair of integers. A ``None`` default makes ``null`` valid.
+    """
+
+    name: str
+    type: type = str
+    default: object = None
+    choices: tuple = ()
+    flag: bool = True
+    help: str | None = None
+
+
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", tuple: "an integer or [low, high]"}
+
+
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as handle:
@@ -87,31 +112,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[str 
     )
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < --config file < explicit flags."""
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.is_file():
-            raise InputError(f"config file not found: {path}")
-        file_cfg = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(file_cfg, dict):
-            raise InputError("config file must hold a JSON object")
-        if set(file_cfg) == {"command", "config", "inputs", "version"}:
-            # a manifest from a previous run reruns with its resolved config
-            file_cfg = file_cfg["config"]
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = file_cfg.get(key, default)
-        resolved[key] = value
-    return resolved
-
-
 def _out_dir(resolved: dict) -> Path:
     out = resolved.get("out")
     if not out:
@@ -128,6 +128,62 @@ def _require_file(path_str: str | None, what: str) -> Path:
     if not path.is_file():
         raise InputError(f"{what} not found: {path}")
     return path
+
+
+def _read_json_object(path_str: str, what: str) -> dict:
+    path = _require_file(path_str, f"{what} file")
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise InputError(f"{what} file {path} must hold a JSON object")
+    return value
+
+
+def _typed(option: _Option, value: object, what: str) -> object:
+    """A value read from a JSON file, checked against its option."""
+    if value is None and option.default is None:
+        return None
+    if option.type is float and type(value) is int:
+        value = float(value)
+    if option.type is tuple:
+        ok = type(value) is int or (
+            type(value) is list and len(value) == 2 and all(type(v) is int for v in value)
+        )
+    else:
+        ok = type(value) is option.type  # so a bool is not an int
+    if not ok:
+        raise InputError(f"{what} key {option.name!r} must be {_TYPE_NAMES[option.type]}, got {value!r}")
+    if option.choices and value not in option.choices:
+        raise InputError(f"{what} key {option.name!r} must be one of {list(option.choices)}, got {value!r}")
+    return tuple(value) if type(value) is list else value
+
+
+def _checked(values: dict, options: tuple[_Option, ...], what: str) -> dict:
+    by_name = {option.name: option for option in options}
+    unknown = set(values) - set(by_name)
+    if unknown:
+        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
+    return {key: _typed(by_name[key], value, what) for key, value in values.items()}
+
+
+def _flags(args: argparse.Namespace, options: tuple[_Option, ...]) -> dict:
+    return {o.name: getattr(args, o.name) for o in options if o.flag and getattr(args, o.name) is not None}
+
+
+def _resolve(args: argparse.Namespace) -> dict:
+    """defaults < --config file < explicit flags."""
+    resolved = {option.name: option.default for option in args.options}
+    if args.config:
+        file_cfg = _read_json_object(args.config, "config")
+        manifest_keys = {"command", "config", "inputs", "version"}
+        if set(file_cfg) == manifest_keys and isinstance(file_cfg["config"], dict):
+            # a manifest from a previous run reruns with its resolved config
+            file_cfg = file_cfg["config"]
+        resolved.update(_checked(file_cfg, args.options, "config"))
+    resolved.update(_flags(args, args.options))
+    return resolved
 
 
 def _endpoint_config(resolved: dict) -> EndpointConfig:
@@ -153,7 +209,7 @@ def _transport(resolved: dict, cfg: EndpointConfig) -> Transport:
 
 def _ks(spec: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(k) for k in str(spec).split(","))
+        ks = tuple(int(k) for k in spec.split(","))
     except ValueError as exc:
         raise InputError(f"bad k list {spec!r}") from exc
     if not ks or any(k < 1 for k in ks):
@@ -175,23 +231,8 @@ def _load_catalog_histories(resolved: dict):
 # augment
 # ---------------------------------------------------------------------------
 
-_AUGMENT_DEFAULTS = {
-    "interactions": None,
-    "frame_scores": None,
-    "out": None,
-    "endpoint": None,
-    "replay": None,
-    "record": None,
-    "model": DEFAULT_CAPTION_MODEL,
-    "parallelism": 1,
-    "timeout": 30.0,
-    "retries": 3,
-    "in_flight": 4,
-}
-
-
 def cmd_augment(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _AUGMENT_DEFAULTS)
+    resolved = _resolve(args)
     out = _out_dir(resolved)
     interactions = _require_file(resolved["interactions"], "interactions file")
     frame_scores = _require_file(resolved["frame_scores"], "frame-scores file")
@@ -223,32 +264,18 @@ def cmd_augment(args: argparse.Namespace) -> int:
 # eval-rec
 # ---------------------------------------------------------------------------
 
-_EVAL_DEFAULTS = {
-    "interactions": None,
-    "captions": None,
-    "features": None,
-    "model": "popularity",
-    "k": "10,20",
-    "slice": "all,cold",
-    "seed": 0,
-    "out": None,
-}
-
-
 def cmd_eval_rec(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _EVAL_DEFAULTS)
+    resolved = _resolve(args)
     out = _out_dir(resolved)
-    if resolved["model"] not in _GENERATORS:
-        raise InputError(f"unknown model {resolved['model']!r}")
     catalog, histories, interactions = _load_catalog_histories(resolved)
     ks = _ks(resolved["k"])
-    slices = tuple(str(resolved["slice"]).split(","))
+    slices = tuple(resolved["slice"].split(","))
     train_views = [h.training_view() for h in histories]
 
     generator = _GENERATORS[resolved["model"]](train_views, catalog)
     reports = evaluate_leave_one_out(generator, histories, ks=ks, slices=slices)
 
-    baseline = RandomGenerator(seed=int(resolved["seed"]))
+    baseline = RandomGenerator(seed=resolved["seed"])
     baseline.fit(train_views, catalog)
     baseline_reports = evaluate_leave_one_out(baseline, histories, ks=ks, slices=slices)
 
@@ -274,38 +301,16 @@ def cmd_eval_rec(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIMULATE_DEFAULTS = {
-    "episodes": None,
-    "task": None,
-    "m": None,
-    "endpoint": None,
-    "replay": None,
-    "record": None,
-    "model": "user-sim",
-    "temperature": 0.0,
-    "timeout": 30.0,
-    "retries": 3,
-    "in_flight": 4,
-    "out": None,
-}
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _SIMULATE_DEFAULTS)
+    resolved = _resolve(args)
     out = _out_dir(resolved)
     episodes_path = _require_file(resolved["episodes"], "episodes file")
     episodes = load_episodes(episodes_path)
-    if resolved.get("task"):
-        kind = resolved["task"]
-        if kind not in ("judgment", "selection"):
-            raise InputError(f"unknown task {kind!r}")
-        episodes = [
-            ep
-            for ep in episodes
-            if isinstance(ep.task, Judgment if kind == "judgment" else Selection)
-        ]
-    if resolved.get("m") is not None:
-        m = int(resolved["m"])
+    if resolved["task"]:
+        kind = Judgment if resolved["task"] == "judgment" else Selection
+        episodes = [ep for ep in episodes if isinstance(ep.task, kind)]
+    if resolved["m"] is not None:
+        m = resolved["m"]
         episodes = [
             ep
             for ep in episodes
@@ -390,96 +395,42 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # train-toy
 # ---------------------------------------------------------------------------
 
-_TRAIN_DEFAULTS = {
-    "world_spec": None,
-    "grpo_config": None,
-    "iters": 1000,
-    "seed": 0,
-    "task": "selection",
-    "curriculum": "off",
-    "curriculum_fraction": 0.5,
-    "m": 3,
-    "eval_episodes": 400,
-    "out": None,
-    # world spec defaults (overridable in the --world-spec file)
-    "n_users": 40,
-    "n_items": 300,
-    "dim": 8,
-    "world_seed": 11,
-    "history_length": 6,
-    "pool_size": 10,
-    "noise": 0.0,
-    "like_threshold": 0.0,
-    "temperature": 2.5,
-}
-
-_WORLD_KEYS = (
-    "n_users",
-    "n_items",
-    "dim",
-    "world_seed",
-    "history_length",
-    "pool_size",
-    "noise",
-    "like_threshold",
-)
-_GRPO_KEYS = ("group_size", "clip_epsilon", "kl_coefficient", "learning_rate", "std_floor", "discount")
-
-
 def cmd_train_toy(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
+    resolved = _resolve(args)
     out = _out_dir(resolved)
     inputs = []
-    if resolved.get("world_spec"):
-        spec_path = _require_file(resolved["world_spec"], "world-spec file")
-        spec = json.loads(spec_path.read_text(encoding="utf-8"))
-        unknown = set(spec) - set(_WORLD_KEYS) - {"m"}
-        if unknown:
-            raise InputError(f"unknown world-spec keys: {sorted(unknown)}")
-        for key in _WORLD_KEYS:
-            if key in spec:
-                resolved[key] = spec[key]
-        if "m" in spec:
-            resolved["m"] = spec["m"]
-        inputs.append(spec_path)
+    if resolved["world_spec"]:
+        spec = _read_json_object(resolved["world_spec"], "world-spec")
+        resolved.update(_checked(spec, _WORLD, "world-spec"))
+        resolved.update(_flags(args, _WORLD))  # an explicit --m still wins
+        inputs.append(resolved["world_spec"])
 
     grpo_kwargs: dict = {}
-    if resolved.get("grpo_config"):
-        grpo_path = _require_file(resolved["grpo_config"], "grpo-config file")
-        grpo_kwargs = json.loads(grpo_path.read_text(encoding="utf-8"))
-        unknown = set(grpo_kwargs) - set(_GRPO_KEYS)
-        if unknown:
-            raise InputError(f"unknown grpo-config keys: {sorted(unknown)}")
-        inputs.append(grpo_path)
+    if resolved["grpo_config"]:
+        grpo_kwargs = _checked(_read_json_object(resolved["grpo_config"], "grpo-config"), _GRPO, "grpo-config")
+        inputs.append(resolved["grpo_config"])
     try:
         grpo_cfg = GrpoConfig(**grpo_kwargs)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    task = str(resolved["task"])
-    if task not in ("judgment", "selection", "mixed"):
-        raise InputError(f"unknown task {task!r}")
-    curriculum_on = str(resolved["curriculum"]) == "on"
-    if curriculum_on:
-        task = "mixed"
+    task = "mixed" if resolved["curriculum"] == "on" else resolved["task"]
 
     world, catalog, histories = generate_synthetic_world(
-        n_users=int(resolved["n_users"]),
-        n_items=int(resolved["n_items"]),
-        dim=int(resolved["dim"]),
-        seed=int(resolved["world_seed"]),
-        history_length=resolved["history_length"]
-        if isinstance(resolved["history_length"], int)
-        else tuple(resolved["history_length"]),
-        pool_size=int(resolved["pool_size"]),
-        like_threshold=float(resolved["like_threshold"]),
-        noise=float(resolved["noise"]),
+        n_users=resolved["n_users"],
+        n_items=resolved["n_items"],
+        dim=resolved["dim"],
+        seed=resolved["world_seed"],
+        history_length=resolved["history_length"],
+        pool_size=resolved["pool_size"],
+        like_threshold=resolved["like_threshold"],
+        noise=resolved["noise"],
     )
-    env_cfg = EnvConfig(top_k=int(resolved["pool_size"]), m=int(resolved["m"]), seed=int(resolved["seed"]))
-    source = SyntheticEpisodeSource(world, catalog, histories, env_cfg, pool_size=int(resolved["pool_size"]))
-    policy = ToySoftmaxPolicy(world, dim=int(resolved["dim"]), temperature=float(resolved["temperature"]))
+    env_cfg = EnvConfig(top_k=resolved["pool_size"], m=resolved["m"], seed=resolved["seed"])
+    source = SyntheticEpisodeSource(world, catalog, histories, env_cfg, pool_size=resolved["pool_size"])
+    policy = ToySoftmaxPolicy(world, dim=resolved["dim"], temperature=resolved["temperature"])
 
-    iterations = int(resolved["iters"])
+    iterations = resolved["iters"]
     report_every = max(1, iterations // 10)
 
     def report_progress(entry: dict) -> None:
@@ -494,15 +445,15 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         policy,
         grpo_cfg,
         iterations=iterations,
-        seed=int(resolved["seed"]),
+        seed=resolved["seed"],
         task=task,
-        curriculum_fraction=float(resolved["curriculum_fraction"]),
+        curriculum_fraction=resolved["curriculum_fraction"],
         trace_path=out / "trace.jsonl",
         progress=report_progress,
     )
 
-    eval_rng = np.random.default_rng(derive_seed(int(resolved["seed"]), "held-out"))
-    n_eval = int(resolved["eval_episodes"])
+    eval_rng = np.random.default_rng(derive_seed(resolved["seed"], "held-out"))
+    n_eval = resolved["eval_episodes"]
     heldout: dict[str, float] = {}
     kinds = ("judgment", "selection") if task == "mixed" else (task,)
     for kind in kinds:
@@ -515,9 +466,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         "task": task,
         "heldout_accuracy": heldout,
         "final_mean_reward": trace[-1]["mean_reward"],
-        "switch_iteration": curriculum_switch_iteration(
-            iterations, float(resolved["curriculum_fraction"])
-        )
+        "switch_iteration": curriculum_switch_iteration(iterations, resolved["curriculum_fraction"])
         if task == "mixed"
         else None,
     }
@@ -531,22 +480,9 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 # rerank
 # ---------------------------------------------------------------------------
 
-_RERANK_DEFAULTS = {
-    "interactions": None,
-    "feedback": None,
-    "captions": None,
-    "features": None,
-    "model": "markov",
-    "k": "10,20",
-    "out": None,
-}
-
-
 def cmd_rerank(args: argparse.Namespace) -> int:
-    resolved = _resolve(args, _RERANK_DEFAULTS)
+    resolved = _resolve(args)
     out = _out_dir(resolved)
-    if resolved["model"] not in _GENERATORS:
-        raise InputError(f"unknown model {resolved['model']!r}")
     catalog, histories, interactions = _load_catalog_histories(resolved)
     feedback_path = _require_file(resolved["feedback"], "feedback file")
     feedback = load_feedback(feedback_path)
@@ -574,23 +510,83 @@ def cmd_rerank(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option table and parser
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--out", help="output directory for this run")
+def _paths(*names: str) -> tuple[_Option, ...]:
+    """Options naming a file or directory: strings with no default."""
+    return tuple(_Option(name) for name in names)
 
 
-def _add_endpoint_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--endpoint", help="chat-completion base URL")
-    sub.add_argument("--replay", help="replay transcript file instead of a live endpoint")
-    sub.add_argument("--record", help="record request/response pairs to this file")
-    sub.add_argument("--model", help="model name sent with each request")
-    sub.add_argument("--timeout", type=float)
-    sub.add_argument("--retries", type=int)
-    sub.add_argument("--in-flight", dest="in_flight", type=int)
+_OUT = _Option("out", help="output directory for this run")
+_ENDPOINT = (
+    _Option("endpoint", help="chat-completion base URL"),
+    _Option("replay", help="replay transcript file instead of a live endpoint"),
+    _Option("record", help="record request/response pairs to this file"),
+    _Option("timeout", float, 30.0),
+    _Option("retries", int, 3),
+    _Option("in_flight", int, 4),
+)
+_MODEL_HELP = "model name sent with each request"
+_RANKERS = tuple(sorted(_GENERATORS))
+_TASKS = ("judgment", "selection")
+
+# train-toy settings that a --world-spec file may also set
+_WORLD = (
+    _Option("n_users", int, 40, flag=False),
+    _Option("n_items", int, 300, flag=False),
+    _Option("dim", int, 8, flag=False),
+    _Option("world_seed", int, 11, flag=False),
+    _Option("history_length", tuple, 6, flag=False),
+    _Option("pool_size", int, 10, flag=False),
+    _Option("noise", float, 0.0, flag=False),
+    _Option("like_threshold", float, 0.0, flag=False),
+    _Option("m", int, 3),
+)
+# the keys of a --grpo-config file
+_GRPO = tuple(_Option(f.name, type(f.default), f.default, flag=False) for f in dataclasses.fields(GrpoConfig))
+
+# command -> (help, function, options); every command also takes --config and --out
+_COMMANDS = {
+    "augment": ("caption items via the perception pipeline", cmd_augment, (
+        *_paths("interactions", "frame_scores"),
+        *_ENDPOINT,
+        _Option("model", default=DEFAULT_CAPTION_MODEL, help=_MODEL_HELP),
+        _Option("parallelism", int, 1),
+    )),
+    "eval-rec": ("leave-one-out ranking metrics", cmd_eval_rec, (
+        *_paths("interactions", "captions", "features"),
+        _Option("model", default="popularity", choices=_RANKERS),
+        _Option("k", default="10,20"),
+        _Option("slice", default="all,cold"),
+        _Option("seed", int, 0),
+    )),
+    "simulate": ("score an endpoint on exported episodes", cmd_simulate, (
+        _Option("episodes"),
+        _Option("task", choices=_TASKS),
+        _Option("m", int),
+        *_ENDPOINT,
+        _Option("model", default=SIM_MODEL, help=_MODEL_HELP),
+        _Option("temperature", float, 0.0),
+    )),
+    "train-toy": ("desk-scale grouped policy optimization", cmd_train_toy, (
+        *_paths("world_spec", "grpo_config"),
+        _Option("iters", int, 1000),
+        _Option("seed", int, 0),
+        _Option("task", default="selection", choices=(*_TASKS, "mixed")),
+        _Option("curriculum", default="off", choices=("on", "off")),
+        _Option("curriculum_fraction", float, 0.5),
+        _Option("eval_episodes", int, 400),
+        *_WORLD,
+        _Option("temperature", float, 2.5, flag=False),
+    )),
+    "rerank": ("before/after metrics around liked feedback", cmd_rerank, (
+        *_paths("interactions", "feedback", "captions", "features"),
+        _Option("model", default="markov", choices=_RANKERS),
+        _Option("k", default="10,20"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,58 +596,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command")
-
-    aug = commands.add_parser("augment", help="caption items via the perception pipeline")
-    _add_common(aug)
-    _add_endpoint_flags(aug)
-    aug.add_argument("--interactions")
-    aug.add_argument("--frame-scores", dest="frame_scores")
-    aug.add_argument("--parallelism", type=int)
-    aug.set_defaults(func=cmd_augment)
-
-    ev = commands.add_parser("eval-rec", help="leave-one-out ranking metrics")
-    _add_common(ev)
-    ev.add_argument("--interactions")
-    ev.add_argument("--captions")
-    ev.add_argument("--features")
-    ev.add_argument("--model", choices=sorted(_GENERATORS))
-    ev.add_argument("--k")
-    ev.add_argument("--slice")
-    ev.add_argument("--seed", type=int)
-    ev.set_defaults(func=cmd_eval_rec)
-
-    sim = commands.add_parser("simulate", help="score an endpoint on exported episodes")
-    _add_common(sim)
-    _add_endpoint_flags(sim)
-    sim.add_argument("--episodes")
-    sim.add_argument("--task", choices=("judgment", "selection"))
-    sim.add_argument("--m", type=int)
-    sim.add_argument("--temperature", type=float)
-    sim.set_defaults(func=cmd_simulate)
-
-    tr = commands.add_parser("train-toy", help="desk-scale grouped policy optimization")
-    _add_common(tr)
-    tr.add_argument("--world-spec", dest="world_spec")
-    tr.add_argument("--grpo-config", dest="grpo_config")
-    tr.add_argument("--iters", type=int)
-    tr.add_argument("--seed", type=int)
-    tr.add_argument("--task", choices=("judgment", "selection", "mixed"))
-    tr.add_argument("--curriculum", choices=("on", "off"))
-    tr.add_argument("--curriculum-fraction", dest="curriculum_fraction", type=float)
-    tr.add_argument("--m", type=int)
-    tr.add_argument("--eval-episodes", dest="eval_episodes", type=int)
-    tr.set_defaults(func=cmd_train_toy)
-
-    rr = commands.add_parser("rerank", help="before/after metrics around liked feedback")
-    _add_common(rr)
-    rr.add_argument("--interactions")
-    rr.add_argument("--feedback")
-    rr.add_argument("--captions")
-    rr.add_argument("--features")
-    rr.add_argument("--model", choices=sorted(_GENERATORS))
-    rr.add_argument("--k")
-    rr.set_defaults(func=cmd_rerank)
-
+    for name, (summary, func, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("--config", help="JSON config file; flags override its keys")
+        options = (*options, _OUT)
+        for option in options:
+            if option.flag:
+                sub.add_argument(
+                    "--" + option.name.replace("_", "-"),
+                    dest=option.name,
+                    type=option.type,
+                    choices=option.choices or None,
+                    help=option.help,
+                )
+        sub.set_defaults(func=func, options=options)
     return parser
 
 

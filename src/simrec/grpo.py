@@ -9,8 +9,7 @@ the group (no critic), and ascends the clipped surrogate
 
 where rho = exp(logp_current - logp_old) and k3 is the non-negative
 low-variance KL estimator rho_ref - log(rho_ref) - 1. Episodes are
-single-step, so the terminal reward's advantage is broadcast to every token;
-the discount factor is kept in the config but has nothing to discount.
+single-step, so the terminal reward's advantage is broadcast to every token.
 
 ``ToySoftmaxPolicy`` is a desk-scale differentiable policy (a bilinear form
 over user/item vectors) that exercises the full objective, including an exact
@@ -42,7 +41,6 @@ class GrpoConfig:
     kl_coefficient: float = 0.001
     learning_rate: float = 0.05
     std_floor: float = 1e-8
-    discount: float = 1.0  # inert for single-step episodes
 
     def __post_init__(self) -> None:
         if self.group_size < 2:
@@ -56,8 +54,6 @@ class GrpoConfig:
             raise ValueError("learning_rate must be non-negative")
         if self.std_floor <= 0.0:
             raise ValueError("std_floor must be positive")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError("discount must lie in [0, 1]")
 
 
 class Policy(ABC):

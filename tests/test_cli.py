@@ -389,3 +389,172 @@ class TestRerankCommand:
 def test_no_command_prints_help_and_exits_2(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def replayed_episodes(tmp_path_factory, episode_source):
+    """An episodes file and a replay file answering every simulate request for it."""
+    root = tmp_path_factory.mktemp("replayed")
+    rng = np.random.default_rng(76)
+    episodes = [episode_source.sample(rng, kind) for kind in ("selection", "judgment") * 5]
+    export_episodes(episodes, root / "episodes.jsonl")
+    record_simulation(episodes, make_perfect_responder(episodes), root / "replay.jsonl")
+    return root / "episodes.jsonl", root / "replay.jsonl"
+
+
+@pytest.fixture(scope="module")
+def caption_replay(tmp_path_factory):
+    from simrec.core import load_interactions
+    from simrec.ipagent import batch_augment
+
+    root = tmp_path_factory.mktemp("captions")
+    catalog, _ = load_interactions(DATA_DIR / "interactions.jsonl")
+    live = RecordingTransport(MockTransport(responder=make_caption_responder()), root / "replay.jsonl")
+    batch_augment(
+        catalog,
+        DATA_DIR / "frame_scores.jsonl",
+        EndpointConfig(max_retries=0, backoff_base=0.0),
+        live,
+        root / "scratch.jsonl",
+    )
+    return root / "replay.jsonl"
+
+
+def command_argv(command, replayed_episodes):
+    """Flags that make ``command`` run quickly to completion on the bundled data."""
+    episodes, replay = replayed_episodes
+    return {
+        "eval-rec": ["--interactions", DATA_DIR / "interactions.jsonl"],
+        "simulate": ["--episodes", episodes, "--replay", replay],
+        "train-toy": ["--iters", 4, "--eval-episodes", 4],
+    }[command]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("train-toy", "curriculum", "yes"),
+            ("simulate", "in_flight", "2"),
+            ("simulate", "temperature", "0.0"),
+            ("eval-rec", "k", [10, 20]),
+            ("eval-rec", "seed", True),
+        ],
+    )
+    def test_wrong_type_or_choice_exits_2_naming_the_key(
+        self, command, key, value, tmp_path, capsys, replayed_episodes
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = command_argv(command, replayed_episodes)
+        assert run(command, "--config", cfg, *argv, "--out", tmp_path / "run") == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,content,needle",
+        [
+            ("--world-spec", {"n_users": "10"}, "world-spec key 'n_users'"),
+            ("--world-spec", {"history_length": [3]}, "world-spec key 'history_length'"),
+            ("--grpo-config", {"group_size": "4"}, "grpo-config key 'group_size'"),
+            ("--grpo-config", {"discount": 1.0}, "unknown grpo-config keys"),
+        ],
+    )
+    def test_train_toy_files_are_checked_per_key(self, flag, content, needle, tmp_path, capsys):
+        path = tmp_path / "file.json"
+        path.write_text(json.dumps(content))
+        assert run("train-toy", flag, path, "--iters", 4, "--out", tmp_path / "run") == 2
+        assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--config", "--world-spec", "--grpo-config"])
+    @pytest.mark.parametrize("content", ["[1, 2]", "{not json"])
+    def test_unreadable_json_file_exits_2_naming_it(self, flag, content, tmp_path, capsys):
+        path = tmp_path / "file.json"
+        path.write_text(content)
+        assert run("train-toy", flag, path, "--iters", 4, "--out", tmp_path / "run") == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_int_is_accepted_for_a_float_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"curriculum_fraction": 1, "temperature": 2}))
+        out = tmp_path / "run"
+        assert run("train-toy", "--config", cfg, "--iters", 4, "--eval-episodes", 4, "--out", out) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert type(config["curriculum_fraction"]) is float
+        assert type(config["temperature"]) is float
+
+    def test_flag_beats_world_spec(self, tmp_path):
+        world_spec = tmp_path / "world.json"
+        world_spec.write_text(json.dumps({"n_users": 10, "m": 2}))
+        out = tmp_path / "run"
+        assert run(
+            "train-toy", "--world-spec", world_spec, "--m", 3, "--iters", 4, "--eval-episodes", 4, "--out", out
+        ) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["n_users"], config["m"]) == (10, 3)
+
+
+ENDPOINT_DEFAULTS = {"endpoint": None, "record": None, "timeout": 30.0, "retries": 3, "in_flight": 4}
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        pytest.param(
+            ["augment", "--interactions", "{interactions}", "--frame-scores", "{frame_scores}",
+             "--replay", "{caption_replay}", "--parallelism", 2],
+            {**ENDPOINT_DEFAULTS, "interactions": "{interactions}", "frame_scores": "{frame_scores}",
+             "replay": "{caption_replay}", "model": "item-perception", "parallelism": 2},
+            id="augment",
+        ),
+        pytest.param(
+            ["eval-rec", "--interactions", "{interactions}", "--features", "{features}", "--model", "embedding",
+             "--k", "5", "--seed", 3],
+            {"interactions": "{interactions}", "captions": None, "features": "{features}", "model": "embedding",
+             "k": "5", "slice": "all,cold", "seed": 3},
+            id="eval-rec",
+        ),
+        pytest.param(
+            ["simulate", "--episodes", "{episodes}", "--replay", "{replay}", "--task", "selection", "--m", 3,
+             "--in-flight", 2, "--timeout", 5],
+            {**ENDPOINT_DEFAULTS, "episodes": "{episodes}", "replay": "{replay}", "task": "selection", "m": 3,
+             "in_flight": 2, "timeout": 5.0, "model": "user-sim", "temperature": 0.0},
+            id="simulate",
+        ),
+        pytest.param(
+            ["train-toy", "--iters", 6, "--eval-episodes", 4, "--curriculum", "on", "--m", 2,
+             "--curriculum-fraction", 0.5],
+            {"world_spec": None, "grpo_config": None, "iters": 6, "seed": 0, "task": "selection",
+             "curriculum": "on", "curriculum_fraction": 0.5, "m": 2, "eval_episodes": 4, "n_users": 40,
+             "n_items": 300, "dim": 8, "world_seed": 11, "history_length": 6, "pool_size": 10, "noise": 0.0,
+             "like_threshold": 0.0, "temperature": 2.5},
+            id="train-toy",
+        ),
+        pytest.param(
+            ["rerank", "--interactions", "{interactions}", "--feedback", "{feedback}"],
+            {"interactions": "{interactions}", "feedback": "{feedback}", "captions": None, "features": None,
+             "model": "markov", "k": "10,20"},
+            id="rerank",
+        ),
+    ],
+)
+def test_flags_only_run_writes_the_manifest_config(argv, expected, tmp_path, replayed_episodes, caption_replay):
+    episodes, replay = replayed_episodes
+    paths = {
+        "interactions": DATA_DIR / "interactions.jsonl",
+        "frame_scores": DATA_DIR / "frame_scores.jsonl",
+        "features": DATA_DIR / "features.jsonl",
+        "feedback": DATA_DIR / "feedback.jsonl",
+        "episodes": episodes,
+        "replay": replay,
+        "caption_replay": caption_replay,
+    }
+
+    def fill(value):
+        return str(value).format(**paths) if isinstance(value, str) else value
+
+    out = tmp_path / "run"
+    assert run(*map(fill, argv), "--out", out) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    expected = {key: fill(value) for key, value in expected.items()} | {"out": str(out)}
+    # compared as JSON text so that 5 and 5.0 differ
+    assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)

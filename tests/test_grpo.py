@@ -461,7 +461,6 @@ class TestGrpoConfigValidation:
             ({"kl_coefficient": -0.1}, "kl_coefficient"),
             ({"learning_rate": -0.01}, "learning_rate"),
             ({"std_floor": 0.0}, "std_floor"),
-            ({"discount": 1.5}, "discount"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, needle):
