@@ -414,7 +414,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    task = "mixed" if resolved["curriculum"] == "on" else resolved["task"]
+    task = resolved["task"]
 
     world, catalog, histories = generate_synthetic_world(
         n_users=resolved["n_users"],
@@ -575,7 +575,6 @@ _COMMANDS = {
         _Option("iters", int, 1000),
         _Option("seed", int, 0),
         _Option("task", default="selection", choices=(*_TASKS, "mixed")),
-        _Option("curriculum", default="off", choices=("on", "off")),
         _Option("curriculum_fraction", float, 0.5),
         _Option("eval_episodes", int, 400),
         *_WORLD,

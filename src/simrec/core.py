@@ -111,7 +111,7 @@ class UserHistory:
     def training_view(self) -> "UserHistory":
         """This history with the held-out target dropped."""
         self._require_target()
-        return replace(self, behaviors=self.behaviors[:-1])
+        return UserHistory(self.user, self.behaviors[:-1])
 
     def item_ids(self) -> tuple[ItemId, ...]:
         return tuple(b.item for b in self.behaviors)

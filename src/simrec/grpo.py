@@ -4,12 +4,15 @@ One training step samples a group of G responses for a single episode, scores
 them with the verifiable rewards, normalizes rewards into advantages within
 the group (no critic), and ascends the clipped surrogate
 
-    (1/G) sum_i (1/|o_i|) sum_t min[rho_it * A_i, clip(rho_it, 1-eps, 1+eps) * A_i]
-                                  - beta * k3(logp_cur_it, logp_ref_it)
+    (1/G) sum_i min[rho_i * A_i, clip(rho_i, 1-eps, 1+eps) * A_i] - beta * k3(logp_cur_i, logp_ref_i)
 
 where rho = exp(logp_current - logp_old) and k3 is the non-negative
-low-variance KL estimator rho_ref - log(rho_ref) - 1. Episodes are
-single-step, so the terminal reward's advantage is broadcast to every token.
+low-variance KL estimator rho_ref - log(rho_ref) - 1. Every response is a
+single action (one candidate, or Yes/No), so the per-token mean of the
+multi-token objective has one term per response. The old policy is the
+sampling policy: ``train`` passes the log-probs it sampled with as
+``logp_old``, so its ratios are 1; the clip still applies to groups built
+with other old log-probs.
 
 ``ToySoftmaxPolicy`` is a desk-scale differentiable policy (a bilinear form
 over user/item vectors) that exercises the full objective, including an exact
@@ -21,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -57,80 +61,47 @@ class GrpoConfig:
 
 
 class Policy(ABC):
-    """A seed-reproducible sampling policy with finite log-probabilities."""
-
-    @abstractmethod
-    def sample_response(
-        self, episode: Episode, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sample one response: (token sequence, per-token log-probabilities)."""
-
-    @abstractmethod
-    def log_probs(self, episode: Episode, tokens: np.ndarray, which: str = "current") -> np.ndarray:
-        """Per-token log-probabilities under the current/old/reference parameters."""
+    """A differentiable policy over the A actions of an episode."""
 
     @abstractmethod
     def parameters(self) -> np.ndarray:
-        """Flat copy of the current parameter vector."""
+        """Flat copy of the current parameter vector, shape (P,)."""
 
     @abstractmethod
-    def apply_gradient(self, delta: np.ndarray) -> None:
-        """Add a pre-scaled update to the parameters (ascent direction)."""
+    def set_parameters(self, theta: np.ndarray) -> None:
+        """Replace the current parameters with the flat vector ``theta``."""
 
     @abstractmethod
-    def snapshot_old(self) -> None:
-        """Freeze the current parameters as the sampling ("old") policy."""
+    def log_probs(self, episode: Episode, theta: np.ndarray | None = None) -> np.ndarray:
+        """Log-probabilities of every action, shape (A,), under ``theta`` (default: current)."""
 
     @abstractmethod
-    def freeze_reference(self) -> None:
-        """Freeze the current parameters as the KL reference policy."""
-
-    @abstractmethod
-    def render(self, episode: Episode, tokens: np.ndarray) -> str:
-        """Render sampled tokens into a transcript the reward parser accepts."""
-
-    @abstractmethod
-    def greedy_action(self, episode: Episode) -> int:
-        """Most likely action under the current parameters."""
-
-    def log_prob_gradients(
-        self, episode: Episode, tokens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-token log-probs and their exact parameter gradients.
-
-        Returns (logp with shape (T,), gradients with shape (T, P)). Policies
-        without differentiable log-probabilities leave this unimplemented.
-        """
-        raise NotImplementedError("policy does not expose differentiable log-probabilities")
+    def log_prob_gradients(self, episode: Episode) -> np.ndarray:
+        """Gradient of every action's log-probability at the current parameters, shape (A, P)."""
 
 
 @dataclass
 class RolloutGroup:
-    """G scored responses for one episode with per-token log-prob arrays."""
+    """G scored single-action responses for one episode, one array entry each."""
 
-    episode: Episode | None
-    responses: list[np.ndarray]
+    actions: np.ndarray
     rewards: np.ndarray
     advantages: np.ndarray
-    logp_current: list[np.ndarray]
-    logp_old: list[np.ndarray]
-    logp_ref: list[np.ndarray]
+    logp_current: np.ndarray
+    logp_old: np.ndarray
+    logp_ref: np.ndarray
 
     def __post_init__(self) -> None:
-        g = len(self.responses)
-        if not (
-            len(self.rewards) == len(self.advantages) == g
-            and len(self.logp_current) == len(self.logp_old) == len(self.logp_ref) == g
-        ):
-            raise ValueError("group arrays must have one entry per response")
-        for i in range(g):
-            t = len(self.responses[i])
-            if not len(self.logp_current[i]) == len(self.logp_old[i]) == len(self.logp_ref[i]) == t:
-                raise ValueError(f"response {i}: log-prob arrays must match the token count")
+        self.actions = np.asarray(self.actions, dtype=int)
+        for name in ("rewards", "advantages", "logp_current", "logp_old", "logp_ref"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        arrays = (self.actions, self.rewards, self.advantages, self.logp_current, self.logp_old, self.logp_ref)
+        if any(a.shape != (self.size,) for a in arrays):
+            raise ValueError("group arrays must be flat with one entry per response")
 
     @property
     def size(self) -> int:
-        return len(self.responses)
+        return len(self.actions)
 
 
 def normalize_advantages(rewards: Sequence[float] | np.ndarray, std_floor: float = 1e-8) -> np.ndarray:
@@ -151,7 +122,7 @@ def normalize_advantages(rewards: Sequence[float] | np.ndarray, std_floor: float
 
 
 def kl_estimate(logp_current: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
-    """Per-token k3 estimator: rho - log(rho) - 1 with rho = exp(ref - current).
+    """Per-response k3 estimator: rho - log(rho) - 1 with rho = exp(ref - current).
 
     Non-negative everywhere and exactly zero iff the log-probs agree.
     """
@@ -167,50 +138,32 @@ def kl_estimate(logp_current: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
 
 def surrogate_objective(group: RolloutGroup, cfg: GrpoConfig) -> float:
     """The clipped grouped objective with KL penalty, averaged over the group."""
-    total = 0.0
-    lo_clip = 1.0 - cfg.clip_epsilon
-    hi_clip = 1.0 + cfg.clip_epsilon
-    for i in range(group.size):
-        if len(group.responses[i]) == 0:
-            raise ValueError(f"response {i} is empty")
-        lc = np.asarray(group.logp_current[i], dtype=float)
-        lo = np.asarray(group.logp_old[i], dtype=float)
-        lr = np.asarray(group.logp_ref[i], dtype=float)
-        rho = np.exp(lc - lo)
-        adv = float(group.advantages[i])
-        unclipped = rho * adv
-        clipped = np.clip(rho, lo_clip, hi_clip) * adv
-        penalty = cfg.kl_coefficient * kl_estimate(lc, lr)
-        total += float(np.mean(np.minimum(unclipped, clipped) - penalty))
-    return total / group.size
+    rho = np.exp(group.logp_current - group.logp_old)
+    adv = group.advantages
+    clipped = np.clip(rho, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
+    penalty = cfg.kl_coefficient * kl_estimate(group.logp_current, group.logp_ref)
+    return float(np.mean(np.minimum(rho * adv, clipped) - penalty))
 
 
-def objective_gradient(group: RolloutGroup, cfg: GrpoConfig, policy: Policy) -> np.ndarray:
+def objective_gradient(group: RolloutGroup, cfg: GrpoConfig, grads: np.ndarray) -> np.ndarray:
     """Exact gradient of the surrogate w.r.t. the policy's current parameters.
 
-    ``logp_old`` and ``logp_ref`` are constants; the clip's piecewise structure
-    is respected (tokens on the flat clipped branch contribute no ratio
-    gradient). Raises NotImplementedError for non-differentiable policies.
+    ``grads`` is ``log_prob_gradients`` of the group's episode, shape (A, P),
+    taken at the parameters ``logp_current`` was computed with. ``logp_old``
+    and ``logp_ref`` are constants; the clip's piecewise structure is
+    respected (responses on the flat clipped branch contribute no ratio
+    gradient).
     """
-    grad = np.zeros_like(policy.parameters())
-    lo_clip = 1.0 - cfg.clip_epsilon
-    hi_clip = 1.0 + cfg.clip_epsilon
-    for i in range(group.size):
-        tokens = group.responses[i]
-        if len(tokens) == 0:
-            raise ValueError(f"response {i} is empty")
-        lc, grads = policy.log_prob_gradients(group.episode, tokens)
-        lo = np.asarray(group.logp_old[i], dtype=float)
-        lr = np.asarray(group.logp_ref[i], dtype=float)
-        rho = np.exp(lc - lo)
-        adv = float(group.advantages[i])
-        # min() takes the unclipped branch on ties, so equality goes there too.
-        active = rho * adv <= np.clip(rho, lo_clip, hi_clip) * adv
-        dmin_dlc = np.where(active, adv * rho, 0.0)
-        dkl_dlc = 1.0 - np.exp(lr - lc)
-        coeff = (dmin_dlc - cfg.kl_coefficient * dkl_dlc) / (group.size * len(tokens))
-        grad += coeff @ grads
-    return grad
+    rho = np.exp(group.logp_current - group.logp_old)
+    adv = group.advantages
+    # min() takes the unclipped branch on ties, so equality goes there too.
+    active = rho * adv <= np.clip(rho, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
+    dmin_dlc = np.where(active, adv * rho, 0.0)
+    dkl_dlc = 1.0 - np.exp(group.logp_ref - group.logp_current)
+    coeff = (dmin_dlc - cfg.kl_coefficient * dkl_dlc) / group.size
+    # A sum over axis 0 adds the responses in order, so the result equals a
+    # running per-response sum bit for bit.
+    return (coeff[:, None] * grads[group.actions]).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +176,19 @@ class VectorLookup(Protocol):
     def item_vector(self, item: ItemId) -> np.ndarray: ...
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - np.max(logits)
+    return shifted - math.log(float(np.sum(np.exp(shifted))))
+
+
 class ToySoftmaxPolicy(Policy):
     """Bilinear softmax policy over episode candidates.
 
     Selection episodes score each candidate k as u·W·v_k / tau and sample from
     the softmax; judgment episodes use the symmetric two-way softmax over
-    [s, -s] with s = u·W·v / tau (token 0 = Yes, token 1 = No). Responses are
-    single-token; ``render`` wraps the chosen action in the two-tag transcript
-    the reward parser expects.
+    [s, -s] with s = u·W·v / tau (action 0 = Yes, action 1 = No).
+    ``render_action`` wraps an action in the two-tag transcript the reward
+    parser expects.
     """
 
     def __init__(
@@ -248,10 +206,6 @@ class ToySoftmaxPolicy(Policy):
         self.W = np.zeros((dim, dim)) if weights is None else np.array(weights, dtype=float)
         if self.W.shape != (dim, dim):
             raise ValueError(f"weights must have shape ({dim}, {dim})")
-        self._W_old = self.W.copy()
-        self._W_ref = self.W.copy()
-
-    # -- distribution -------------------------------------------------------
 
     def _episode_vectors(self, episode: Episode) -> tuple[np.ndarray, np.ndarray]:
         u = self._vectors.user_vector(episode.user)
@@ -265,61 +219,11 @@ class ToySoftmaxPolicy(Policy):
             raise TypeError(f"unknown task kind: {episode.task!r}")
         return u, v
 
-    def _logits(self, episode: Episode, weights: np.ndarray) -> np.ndarray:
-        u, v = self._episode_vectors(episode)
+    def _logits(self, episode: Episode, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
         scores = (v @ (weights.T @ u)) / self.temperature
         if isinstance(episode.task, Judgment):
             return np.array([scores[0], -scores[0]])
         return scores
-
-    def _log_softmax(self, logits: np.ndarray) -> np.ndarray:
-        shifted = logits - np.max(logits)
-        return shifted - math.log(float(np.sum(np.exp(shifted))))
-
-    def action_probabilities(self, episode: Episode, which: str = "current") -> np.ndarray:
-        return np.exp(self._log_softmax(self._logits(episode, self._weights_for(which))))
-
-    def _weights_for(self, which: str) -> np.ndarray:
-        if which == "current":
-            return self.W
-        if which == "old":
-            return self._W_old
-        if which == "reference":
-            return self._W_ref
-        raise ValueError(f"unknown parameter set {which!r}")
-
-    # -- Policy interface ----------------------------------------------------
-
-    def sample_response(
-        self, episode: Episode, rng: np.random.Generator
-    ) -> tuple[np.ndarray, np.ndarray]:
-        logp = self._log_softmax(self._logits(episode, self.W))
-        action = int(rng.choice(len(logp), p=np.exp(logp)))
-        return np.array([action]), np.array([logp[action]])
-
-    def log_probs(self, episode: Episode, tokens: np.ndarray, which: str = "current") -> np.ndarray:
-        logp = self._log_softmax(self._logits(episode, self._weights_for(which)))
-        return np.array([logp[int(t)] for t in tokens])
-
-    def log_prob_gradients(
-        self, episode: Episode, tokens: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        u, v = self._episode_vectors(episode)
-        logp = self._log_softmax(self._logits(episode, self.W))
-        probs = np.exp(logp)
-        out_logp = np.empty(len(tokens))
-        out_grads = np.empty((len(tokens), self.W.size))
-        for row, token in enumerate(int(t) for t in tokens):
-            out_logp[row] = logp[token]
-            if isinstance(episode.task, Judgment):
-                # logits are [s, -s]; d(logit_k)/ds = +1 / -1.
-                sign = 1.0 if token == 0 else -1.0
-                dlogp_ds = sign - (probs[0] - probs[1])
-                out_grads[row] = (dlogp_ds * np.outer(u, v[0]) / self.temperature).ravel()
-            else:
-                expected_v = probs @ v
-                out_grads[row] = (np.outer(u, v[token] - expected_v) / self.temperature).ravel()
-        return out_logp, out_grads
 
     def parameters(self) -> np.ndarray:
         return self.W.ravel().copy()
@@ -327,36 +231,35 @@ class ToySoftmaxPolicy(Policy):
     def set_parameters(self, theta: np.ndarray) -> None:
         self.W = np.array(theta, dtype=float).reshape(self.dim, self.dim)
 
-    def apply_gradient(self, delta: np.ndarray) -> None:
-        self.W = self.W + np.asarray(delta, dtype=float).reshape(self.dim, self.dim)
+    def log_probs(self, episode: Episode, theta: np.ndarray | None = None) -> np.ndarray:
+        weights = self.W if theta is None else np.asarray(theta, dtype=float).reshape(self.dim, self.dim)
+        return _log_softmax(self._logits(episode, *self._episode_vectors(episode), weights))
 
-    def snapshot_old(self) -> None:
-        self._W_old = self.W.copy()
-
-    def freeze_reference(self) -> None:
-        self._W_ref = self.W.copy()
-
-    def greedy_action(self, episode: Episode) -> int:
-        return int(np.argmax(self._logits(episode, self.W)))
-
-    def render(self, episode: Episode, tokens: np.ndarray) -> str:
-        action = int(tokens[0])
+    def log_prob_gradients(self, episode: Episode) -> np.ndarray:
+        u, v = self._episode_vectors(episode)
+        probs = np.exp(_log_softmax(self._logits(episode, u, v, self.W)))
         if isinstance(episode.task, Judgment):
-            answer = "Yes" if action == 0 else "No"
-            status = f"weighing whether user {episode.user} would enjoy this video"
-        else:
-            answer = str(action + 1)
-            status = (
-                f"weighing {episode.task.candidates.size} candidates for user {episode.user}"
-            )
-        return (
-            f"<think>(1) User_status: {status}</think>"
-            f"<answer>(2) Next_video: {answer}</answer>"
-        )
+            # logits are [s, -s]; d(logit_k)/ds = +1 / -1.
+            dlogp_ds = np.array([1.0, -1.0]) - (probs[0] - probs[1])
+            return dlogp_ds[:, None] * np.outer(u, v[0]).ravel() / self.temperature
+        # d log p_k / dW = outer(u, v_k - E_p[v]) / tau
+        score = v - probs @ v
+        return (u[None, :, None] * score[:, None, :]).reshape(len(score), -1) / self.temperature
+
+
+def render_action(episode: Episode, action: int) -> str:
+    """The two-tag transcript of one action, in the form the reward parser accepts."""
+    if isinstance(episode.task, Judgment):
+        answer = "Yes" if action == 0 else "No"
+        status = f"weighing whether user {episode.user} would enjoy this video"
+    else:
+        answer = str(action + 1)
+        status = f"weighing {episode.task.candidates.size} candidates for user {episode.user}"
+    return f"<think>(1) User_status: {status}</think><answer>(2) Next_video: {answer}</answer>"
 
 
 def truth_token(episode: Episode) -> int:
-    """The sampled-token index that matches the episode's ground truth."""
+    """The action index that matches the episode's ground truth."""
     if isinstance(episode.task, Selection):
         return int(episode.truth) - 1
     return 0 if episode.truth == "like" else 1
@@ -389,72 +292,65 @@ def train(
 ) -> list[dict]:
     """Run grouped policy-gradient training and return the per-iteration trace.
 
-    Each iteration draws one episode, snapshots the old policy, samples G
-    responses, scores them with the task rewards, normalizes advantages, and
-    takes one surrogate-ascent step. The reference policy is frozen at entry.
-    ``task`` is "judgment", "selection", or "mixed"; mixed runs judgment-only
-    for the first ``curriculum_fraction`` of iterations, then interleaves both
-    kinds uniformly. Bit-identical traces for identical seeds.
+    Each iteration draws one episode, samples G actions from the current
+    policy, scores them with the task rewards, normalizes advantages, and
+    takes one surrogate-ascent step. The reference policy is the parameters
+    at entry. ``task`` is "judgment", "selection", or "mixed"; mixed runs
+    judgment-only for the first ``curriculum_fraction`` of iterations, then
+    interleaves both kinds uniformly. Each trace row is written and flushed to
+    ``trace_path`` before ``progress`` sees it, so a crash keeps the rows of
+    finished iterations. Bit-identical traces for identical seeds.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if task not in ("judgment", "selection", "mixed"):
         raise ValueError(f"unknown task {task!r}")
     rng = np.random.default_rng(seed)
-    policy.freeze_reference()
+    reference = policy.parameters()
     switch = curriculum_switch_iteration(iterations, curriculum_fraction)
     trace: list[dict] = []
-    for it in range(iterations):
-        if task == "mixed":
-            if it < switch:
-                kind = "judgment"
+    with Path(trace_path).open("w", encoding="utf-8") if trace_path is not None else nullcontext() as handle:
+        for it in range(iterations):
+            if task == "mixed":
+                if it < switch:
+                    kind = "judgment"
+                else:
+                    kind = "judgment" if rng.integers(2) == 0 else "selection"
             else:
-                kind = "judgment" if rng.integers(2) == 0 else "selection"
-        else:
-            kind = task
-        episode = source.sample(rng, kind)
-        policy.snapshot_old()
+                kind = task
+            episode = source.sample(rng, kind)
 
-        responses: list[np.ndarray] = []
-        logp_cur: list[np.ndarray] = []
-        rewards = np.empty(cfg.group_size)
-        correct = 0
-        want = truth_token(episode)
-        for i in range(cfg.group_size):
-            tokens, logp = policy.sample_response(episode, rng)
-            responses.append(tokens)
-            logp_cur.append(logp)
-            rewards[i] = total_reward(policy.render(episode, tokens), episode.task, episode.truth).total
-            correct += int(tokens[0] == want)
+            logp = policy.log_probs(episode)
+            # One draw for the group reads the same stream as G single draws.
+            actions = rng.choice(len(logp), size=cfg.group_size, p=np.exp(logp))
+            rewards = np.array(
+                [total_reward(render_action(episode, a), episode.task, episode.truth).total for a in actions]
+            )
+            group = RolloutGroup(
+                actions=actions,
+                rewards=rewards,
+                advantages=normalize_advantages(rewards, cfg.std_floor),
+                logp_current=logp[actions],
+                logp_old=logp[actions],
+                logp_ref=policy.log_probs(episode, reference)[actions],
+            )
+            objective = surrogate_objective(group, cfg)
+            gradient = objective_gradient(group, cfg, policy.log_prob_gradients(episode))
+            policy.set_parameters(policy.parameters() + cfg.learning_rate * gradient)
 
-        group = RolloutGroup(
-            episode=episode,
-            responses=responses,
-            rewards=rewards,
-            advantages=normalize_advantages(rewards, cfg.std_floor),
-            logp_current=logp_cur,
-            logp_old=[policy.log_probs(episode, t, "old") for t in responses],
-            logp_ref=[policy.log_probs(episode, t, "reference") for t in responses],
-        )
-        objective = surrogate_objective(group, cfg)
-        gradient = objective_gradient(group, cfg, policy)
-        policy.apply_gradient(cfg.learning_rate * gradient)
-
-        entry = {
-            "iter": it,
-            "mean_reward": float(np.mean(rewards)),
-            "accuracy": correct / cfg.group_size,
-            "objective": float(objective),
-            "task": kind,
-        }
-        trace.append(entry)
-        if progress is not None:
-            progress(entry)
-
-    if trace_path is not None:
-        with Path(trace_path).open("w", encoding="utf-8") as handle:
-            for entry in trace:
+            entry = {
+                "iter": it,
+                "mean_reward": float(np.mean(rewards)),
+                "accuracy": int(np.count_nonzero(actions == truth_token(episode))) / cfg.group_size,
+                "objective": objective,
+                "task": kind,
+            }
+            trace.append(entry)
+            if handle is not None:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")
+                handle.flush()
+            if progress is not None:
+                progress(entry)
     return trace
 
 
@@ -462,5 +358,5 @@ def evaluate_policy(policy: Policy, episodes: Sequence[Episode]) -> float:
     """Greedy-action accuracy of a policy over held-out episodes."""
     if not episodes:
         raise ValueError("need at least one evaluation episode")
-    correct = sum(int(policy.greedy_action(ep) == truth_token(ep)) for ep in episodes)
+    correct = sum(int(np.argmax(policy.log_probs(ep)) == truth_token(ep)) for ep in episodes)
     return correct / len(episodes)

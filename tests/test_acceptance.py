@@ -152,17 +152,15 @@ def test_c03_gradient_correctness():
     while checked < 100:
         episode = source.sample(rng, "selection" if checked % 2 == 0 else "judgment")
         policy = ToySoftmaxPolicy(world, dim=4)
-        policy.set_parameters(0.3 * rng.standard_normal(16))
-        policy.snapshot_old()
-        policy.freeze_reference()
-        policy.apply_gradient(0.05 * rng.standard_normal(16))
-        group = sample_group(policy, episode, rng, g=cfg.group_size)
-        if not away_from_clip_boundary(policy, group, cfg, margin=1e-3):
+        theta0 = 0.3 * rng.standard_normal(16)
+        policy.set_parameters(theta0 + 0.05 * rng.standard_normal(16))  # old/ref differ from current
+        group = sample_group(policy, episode, rng, g=cfg.group_size, old=theta0, reference=theta0)
+        if not away_from_clip_boundary(group, cfg, margin=1e-3):
             continue
-        fd = finite_difference_gradient(policy, group, cfg, step=1e-6)
+        fd = finite_difference_gradient(policy, episode, group, cfg, step=1e-6)
         if np.linalg.norm(fd) < 1e-3:  # below the finite-difference noise floor
             continue
-        grad = objective_gradient(group, cfg, policy)
+        grad = objective_gradient(group, cfg, policy.log_prob_gradients(episode))
         err = np.linalg.norm(grad - fd) / np.linalg.norm(fd)
         assert err <= 1e-4, f"instance {checked}: relative error {err}"
         checked += 1

@@ -302,17 +302,17 @@ class TestTrainToyCommand:
         assert traces[0] == traces[1]
 
     def test_curriculum_on_and_off_complete(self, tmp_path, capsys):
-        for mode in ("on", "off"):
-            out = tmp_path / mode
+        for task in ("mixed", "selection"):
+            out = tmp_path / task
             assert run(
                 "train-toy",
                 "--iters", 40,
                 "--seed", 2,
-                "--curriculum", mode,
+                "--task", task,
                 "--out", out,
             ) == 0
             summary = json.loads((out / "summary.json").read_text())
-            if mode == "on":
+            if task == "mixed":
                 assert summary["switch_iteration"] == 20
                 tasks = {
                     json.loads(line)["task"]
@@ -321,6 +321,14 @@ class TestTrainToyCommand:
                 assert tasks == {"judgment", "selection"}
             else:
                 assert summary["switch_iteration"] is None
+
+    def test_manifest_with_the_removed_curriculum_key_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(
+            {"command": "train-toy", "config": {"iters": 4, "curriculum": "on"}, "inputs": [], "version": "0.1.0"}
+        ))
+        assert run("train-toy", "--config", manifest, "--out", tmp_path / "run") == 2
+        assert "'curriculum'" in capsys.readouterr().err
 
     def test_world_spec_and_grpo_config_files(self, tmp_path):
         world_spec = tmp_path / "world.json"
@@ -434,7 +442,7 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "command,key,value",
         [
-            ("train-toy", "curriculum", "yes"),
+            ("train-toy", "task", "both"),
             ("simulate", "in_flight", "2"),
             ("simulate", "temperature", "0.0"),
             ("eval-rec", "k", [10, 20]),
@@ -521,10 +529,10 @@ ENDPOINT_DEFAULTS = {"endpoint": None, "record": None, "timeout": 30.0, "retries
             id="simulate",
         ),
         pytest.param(
-            ["train-toy", "--iters", 6, "--eval-episodes", 4, "--curriculum", "on", "--m", 2,
+            ["train-toy", "--iters", 6, "--eval-episodes", 4, "--task", "mixed", "--m", 2,
              "--curriculum-fraction", 0.5],
-            {"world_spec": None, "grpo_config": None, "iters": 6, "seed": 0, "task": "selection",
-             "curriculum": "on", "curriculum_fraction": 0.5, "m": 2, "eval_episodes": 4, "n_users": 40,
+            {"world_spec": None, "grpo_config": None, "iters": 6, "seed": 0, "task": "mixed",
+             "curriculum_fraction": 0.5, "m": 2, "eval_episodes": 4, "n_users": 40,
              "n_items": 300, "dim": 8, "world_seed": 11, "history_length": 6, "pool_size": 10, "noise": 0.0,
              "like_threshold": 0.0, "temperature": 2.5},
             id="train-toy",

@@ -1,0 +1,23 @@
+"""Smoke test: every demo script runs to completion and prints something."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT
+
+DEMOS = sorted((REPO_ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    src = str(REPO_ROOT / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "TMPDIR": str(tmp_path)}
+    result = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

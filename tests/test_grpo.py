@@ -1,22 +1,27 @@
+import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from simrec.grpo import (
     GrpoConfig,
-    Policy,
     RolloutGroup,
     ToySoftmaxPolicy,
     evaluate_policy,
     kl_estimate,
     normalize_advantages,
     objective_gradient,
+    render_action,
     surrogate_objective,
     train,
     truth_token,
 )
 from simrec.rewards import Select, Verdict, parse_response
+
+PINNED_TRACES = Path(__file__).with_name("grpo_pinned_traces.json")
 
 
 def brute_force_advantages(rewards):
@@ -97,18 +102,14 @@ class TestKlEstimate:
             kl_estimate(np.zeros(2), np.zeros(3))
 
 
-def one_response_group(rho, adv, n_tokens=1, log_ref=None):
-    lc = np.full(n_tokens, math.log(rho))
-    lo = np.zeros(n_tokens)
-    lr = np.zeros(n_tokens) if log_ref is None else np.full(n_tokens, log_ref)
+def one_response_group(rho, adv, log_ref=None):
     return RolloutGroup(
-        episode=None,
-        responses=[np.zeros(n_tokens, dtype=int)],
-        rewards=np.array([0.0]),
-        advantages=np.array([adv]),
-        logp_current=[lc],
-        logp_old=[lo],
-        logp_ref=[lr],
+        actions=[0],
+        rewards=[0.0],
+        advantages=[adv],
+        logp_current=[math.log(rho)],
+        logp_old=[0.0],
+        logp_ref=[0.0 if log_ref is None else log_ref],
     )
 
 
@@ -119,10 +120,9 @@ class TestSurrogateObjective:
     def test_ratio_one_beta_zero_equals_mean_advantage(self):
         rewards = np.array([2.0, -1.5, -1.5, 0.5])
         adv = normalize_advantages(rewards)
-        lps = [np.array([-0.3]) for _ in rewards]
+        lps = np.full(4, -0.3)
         group = RolloutGroup(
-            episode=None,
-            responses=[np.array([0])] * 4,
+            actions=np.zeros(4, dtype=int),
             rewards=rewards,
             advantages=adv,
             logp_current=lps,
@@ -137,22 +137,18 @@ class TestSurrogateObjective:
     def test_clip_negative_advantage(self):
         assert surrogate_objective(one_response_group(1.5, -1.0), CFG) == pytest.approx(-1.5, abs=1e-12)
 
-    def test_two_token_hand_computed(self):
-        # tokens with rho 1.5 and 0.5, adv 1, eps 0.2, beta 0.01, ref log-ratio ln 2
+    def test_two_action_hand_computed(self):
+        # actions with rho 1.5 and 0.5, adv 1, eps 0.2, beta 0.01, ref log-ratio ln 2
         # min terms: min(1.5, 1.2) = 1.2 and min(0.5, 0.8) = 0.5
-        # k3 per token: rho_ref = exp(lr - lc) with lr = ln 2
+        # k3 per action: rho_ref = exp(lr - lc) with lr = ln 2
         cfg = GrpoConfig(group_size=2, clip_epsilon=0.2, kl_coefficient=0.01, learning_rate=0.1)
-        lc = np.array([math.log(1.5), math.log(0.5)])
-        lo = np.zeros(2)
-        lr = np.full(2, math.log(2.0))
         group = RolloutGroup(
-            episode=None,
-            responses=[np.array([0, 0])],
-            rewards=np.array([0.0]),
-            advantages=np.array([1.0]),
-            logp_current=[lc],
-            logp_old=[lo],
-            logp_ref=[lr],
+            actions=[0, 1],
+            rewards=[0.0, 0.0],
+            advantages=[1.0, 1.0],
+            logp_current=[math.log(1.5), math.log(0.5)],
+            logp_old=np.zeros(2),
+            logp_ref=np.full(2, math.log(2.0)),
         )
         k3 = [
             (2.0 / 1.5) - math.log(2.0 / 1.5) - 1.0,
@@ -161,59 +157,38 @@ class TestSurrogateObjective:
         expected = ((1.2 - 0.01 * k3[0]) + (0.5 - 0.01 * k3[1])) / 2.0
         assert surrogate_objective(group, cfg) == pytest.approx(expected, rel=1e-12)
 
-    def test_empty_response_rejected(self):
-        group = RolloutGroup(
-            episode=None,
-            responses=[np.array([], dtype=int)],
-            rewards=np.array([0.0]),
-            advantages=np.array([0.0]),
-            logp_current=[np.array([])],
-            logp_old=[np.array([])],
-            logp_ref=[np.array([])],
-        )
-        with pytest.raises(ValueError, match="empty"):
-            surrogate_objective(group, CFG)
+    def test_arrays_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="one entry per response"):
+            RolloutGroup(
+                actions=[0, 1], rewards=[0.0], advantages=[0.0, 0.0],
+                logp_current=[0.0, 0.0], logp_old=[0.0, 0.0], logp_ref=[0.0, 0.0],
+            )
 
 
-def sample_group(policy, episode, rng, g=6, rewards=None):
-    responses, lc = [], []
-    for _ in range(g):
-        tokens, logp = policy.sample_response(episode, rng)
-        responses.append(tokens)
-        lc.append(logp)
+def sample_group(policy, episode, rng, g=6, rewards=None, old=None, reference=None):
+    """G actions sampled at the current parameters; ``old``/``reference`` default to them."""
+    logp = policy.log_probs(episode)
+    actions = rng.choice(len(logp), size=g, p=np.exp(logp))
     if rewards is None:
         rewards = rng.choice([3.0, -0.5, -1.0], size=g)
         while np.std(rewards) < 1e-8:
             rewards = rng.choice([3.0, -0.5, -1.0], size=g)
     return RolloutGroup(
-        episode=episode,
-        responses=responses,
-        rewards=np.asarray(rewards, dtype=float),
+        actions=actions,
+        rewards=rewards,
         advantages=normalize_advantages(rewards),
-        logp_current=lc,
-        logp_old=[policy.log_probs(episode, t, "old") for t in responses],
-        logp_ref=[policy.log_probs(episode, t, "reference") for t in responses],
+        logp_current=logp[actions],
+        logp_old=policy.log_probs(episode, old)[actions],
+        logp_ref=policy.log_probs(episode, reference)[actions],
     )
 
 
-def finite_difference_gradient(policy, group, cfg, step=1e-6):
+def finite_difference_gradient(policy, episode, group, cfg, step=1e-6):
     theta0 = policy.parameters()
 
     def value(theta):
-        policy.set_parameters(theta)
-        lcs = [policy.log_probs(group.episode, t, "current") for t in group.responses]
-        shadow = RolloutGroup(
-            episode=group.episode,
-            responses=group.responses,
-            rewards=group.rewards,
-            advantages=group.advantages,
-            logp_current=lcs,
-            logp_old=group.logp_old,
-            logp_ref=group.logp_ref,
-        )
-        out = surrogate_objective(shadow, cfg)
-        policy.set_parameters(theta0)
-        return out
+        shadow = replace(group, logp_current=policy.log_probs(episode, theta)[group.actions])
+        return surrogate_objective(shadow, cfg)
 
     fd = np.zeros_like(theta0)
     for j in range(len(theta0)):
@@ -223,16 +198,12 @@ def finite_difference_gradient(policy, group, cfg, step=1e-6):
     return fd
 
 
-def away_from_clip_boundary(policy, group, cfg, margin=1e-3):
-    for i in range(group.size):
-        rho = np.exp(
-            policy.log_probs(group.episode, group.responses[i], "current") - group.logp_old[i]
-        )
-        if np.any(np.abs(rho - (1 - cfg.clip_epsilon)) < margin):
-            return False
-        if np.any(np.abs(rho - (1 + cfg.clip_epsilon)) < margin):
-            return False
-    return True
+def away_from_clip_boundary(group, cfg, margin=1e-3):
+    rho = np.exp(group.logp_current - group.logp_old)
+    return not (
+        np.any(np.abs(rho - (1 - cfg.clip_epsilon)) < margin)
+        or np.any(np.abs(rho - (1 + cfg.clip_epsilon)) < margin)
+    )
 
 
 class TestObjectiveGradient:
@@ -242,15 +213,13 @@ class TestObjectiveGradient:
         episode = source.sample(rng, "selection")
         policy = ToySoftmaxPolicy(world, dim=4)
         policy.set_parameters(0.2 * rng.standard_normal(16))
-        policy.snapshot_old()
-        policy.freeze_reference()
         group = sample_group(policy, episode, rng)
         cfg = GrpoConfig(group_size=group.size, kl_coefficient=0.0, learning_rate=0.1)
-        grad = objective_gradient(group, cfg, policy)
+        grads = policy.log_prob_gradients(episode)
+        grad = objective_gradient(group, cfg, grads)
         vanilla = np.zeros_like(grad)
         for i in range(group.size):
-            _, grads = policy.log_prob_gradients(episode, group.responses[i])
-            vanilla += group.advantages[i] * grads[0] / group.size
+            vanilla += group.advantages[i] * grads[group.actions[i]] / group.size
         np.testing.assert_allclose(grad, vanilla, atol=1e-12)
 
     def test_zero_advantages_and_beta_give_zero_gradient(self, small_world):
@@ -258,11 +227,11 @@ class TestObjectiveGradient:
         rng = np.random.default_rng(13)
         episode = source.sample(rng, "judgment")
         policy = ToySoftmaxPolicy(world, dim=4)
-        policy.snapshot_old()
-        policy.freeze_reference()
         group = sample_group(policy, episode, rng, rewards=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
         cfg = GrpoConfig(group_size=group.size, kl_coefficient=0.0, learning_rate=0.1)
-        np.testing.assert_array_equal(objective_gradient(group, cfg, policy), np.zeros(16))
+        np.testing.assert_array_equal(
+            objective_gradient(group, cfg, policy.log_prob_gradients(episode)), np.zeros(16)
+        )
 
     def test_matches_finite_differences(self, small_world):
         world, _, _, source = small_world
@@ -273,15 +242,13 @@ class TestObjectiveGradient:
             kind = "selection" if checked % 2 == 0 else "judgment"
             episode = source.sample(rng, kind)
             policy = ToySoftmaxPolicy(world, dim=4)
-            policy.set_parameters(0.3 * rng.standard_normal(16))
-            policy.snapshot_old()
-            policy.freeze_reference()
-            policy.apply_gradient(0.05 * rng.standard_normal(16))  # old/ref differ from current
-            group = sample_group(policy, episode, rng, g=cfg.group_size)
-            if not away_from_clip_boundary(policy, group, cfg):
+            theta0 = 0.3 * rng.standard_normal(16)
+            policy.set_parameters(theta0 + 0.05 * rng.standard_normal(16))  # old/ref differ from current
+            group = sample_group(policy, episode, rng, g=cfg.group_size, old=theta0, reference=theta0)
+            if not away_from_clip_boundary(group, cfg):
                 continue
-            grad = objective_gradient(group, cfg, policy)
-            fd = finite_difference_gradient(policy, group, cfg)
+            grad = objective_gradient(group, cfg, policy.log_prob_gradients(episode))
+            fd = finite_difference_gradient(policy, episode, group, cfg)
             if np.linalg.norm(fd) < 1e-3:
                 # below the h^2 + roundoff floor of central differences a
                 # relative comparison is meaningless; require agreement in
@@ -292,41 +259,6 @@ class TestObjectiveGradient:
             assert err <= 1e-4, f"relative error {err}"
             checked += 1
 
-    def test_non_differentiable_policy_rejected(self, small_world):
-        world, _, _, source = small_world
-
-        class OpaquePolicy(Policy):
-            def sample_response(self, episode, rng):
-                return np.array([0]), np.array([-0.5])
-
-            def log_probs(self, episode, tokens, which="current"):
-                return np.full(len(tokens), -0.5)
-
-            def parameters(self):
-                return np.zeros(1)
-
-            def apply_gradient(self, delta):
-                pass
-
-            def snapshot_old(self):
-                pass
-
-            def freeze_reference(self):
-                pass
-
-            def render(self, episode, tokens):
-                return ""
-
-            def greedy_action(self, episode):
-                return 0
-
-        rng = np.random.default_rng(15)
-        episode = source.sample(rng, "judgment")
-        policy = OpaquePolicy()
-        group = sample_group(policy, episode, rng)
-        with pytest.raises(NotImplementedError, match="differentiable"):
-            objective_gradient(group, CFG, policy)
-
     def test_one_step_does_not_decrease_surrogate(self, small_world):
         world, _, _, source = small_world
         rng = np.random.default_rng(16)
@@ -335,21 +267,11 @@ class TestObjectiveGradient:
             episode = source.sample(rng, "selection" if trial % 2 else "judgment")
             policy = ToySoftmaxPolicy(world, dim=4)
             policy.set_parameters(0.2 * rng.standard_normal(16))
-            policy.snapshot_old()
-            policy.freeze_reference()
             group = sample_group(policy, episode, rng, g=cfg.group_size)
             before = surrogate_objective(group, cfg)
-            grad = objective_gradient(group, cfg, policy)
-            policy.apply_gradient(cfg.learning_rate * grad)
-            refreshed = RolloutGroup(
-                episode=episode,
-                responses=group.responses,
-                rewards=group.rewards,
-                advantages=group.advantages,
-                logp_current=[policy.log_probs(episode, t, "current") for t in group.responses],
-                logp_old=group.logp_old,
-                logp_ref=group.logp_ref,
-            )
+            grad = objective_gradient(group, cfg, policy.log_prob_gradients(episode))
+            policy.set_parameters(policy.parameters() + cfg.learning_rate * grad)
+            refreshed = replace(group, logp_current=policy.log_probs(episode)[group.actions])
             assert surrogate_objective(refreshed, cfg) >= before - 1e-12
 
 
@@ -361,7 +283,7 @@ class TestToySoftmaxPolicy:
         policy.set_parameters(rng.standard_normal(16))
         for kind in ("selection", "judgment"):
             for _ in range(50):
-                probs = policy.action_probabilities(source.sample(rng, kind))
+                probs = np.exp(policy.log_probs(source.sample(rng, kind)))
                 assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_render_parse_round_trip(self, small_world):
@@ -371,22 +293,14 @@ class TestToySoftmaxPolicy:
         for _ in range(50):
             for kind in ("selection", "judgment"):
                 episode = source.sample(rng, kind)
-                tokens, _ = policy.sample_response(episode, rng)
-                parsed = parse_response(policy.render(episode, tokens), episode.task)
-                if kind == "selection":
-                    assert parsed.action == Select(int(tokens[0]) + 1)
-                else:
-                    assert parsed.action is (Verdict.YES if tokens[0] == 0 else Verdict.NO)
-                assert parsed.tag_order_ok
-                assert parsed.user_status
-
-    def test_sampling_reproducible_under_seed(self, small_world):
-        world, _, _, source = small_world
-        policy = ToySoftmaxPolicy(world, dim=4)
-        episode = source.sample(np.random.default_rng(1), "selection")
-        a = [policy.sample_response(episode, np.random.default_rng(77))[0] for _ in range(5)]
-        b = [policy.sample_response(episode, np.random.default_rng(77))[0] for _ in range(5)]
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+                for action in range(len(policy.log_probs(episode))):
+                    parsed = parse_response(render_action(episode, action), episode.task)
+                    if kind == "selection":
+                        assert parsed.action == Select(action + 1)
+                    else:
+                        assert parsed.action is (Verdict.YES if action == 0 else Verdict.NO)
+                    assert parsed.tag_order_ok
+                    assert parsed.user_status
 
 
 class TestTrain:
@@ -411,6 +325,38 @@ class TestTrain:
             train(source, policy, cfg, iterations=40, seed=9, task="mixed", trace_path=path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    @pytest.mark.parametrize("task", ["selection", "judgment", "mixed"])
+    def test_trace_matches_pinned_values(self, small_world, task):
+        # Rows recorded from an earlier implementation of train(); refactors
+        # must reproduce them (the objective up to summation order).
+        pinned = json.loads(PINNED_TRACES.read_text(encoding="utf-8"))[task]
+        world, _, _, source = small_world
+        trace = train(source, ToySoftmaxPolicy(world, dim=4), GrpoConfig(group_size=16), 60, seed=3, task=task)
+        assert len(trace) == len(pinned)
+        for got, want in zip(trace, pinned):
+            assert {k: got[k] for k in ("iter", "task", "mean_reward", "accuracy")} == {
+                k: want[k] for k in ("iter", "task", "mean_reward", "accuracy")
+            }
+            assert abs(got["objective"] - want["objective"]) <= 1e-12
+
+    def test_trace_rows_reach_disk_before_a_crash(self, small_world, tmp_path):
+        world, _, _, source = small_world
+        path = tmp_path / "trace.jsonl"
+        rows_on_disk = []
+
+        def crash_at_5(entry):
+            # read through a second handle: the row must already be flushed
+            rows_on_disk.append(len(path.read_text(encoding="utf-8").splitlines()))
+            if entry["iter"] == 5:
+                raise RuntimeError("stop")
+
+        with pytest.raises(RuntimeError, match="stop"):
+            train(source, ToySoftmaxPolicy(world, dim=4), GrpoConfig(group_size=4), 20, seed=0,
+                  trace_path=path, progress=crash_at_5)
+        assert rows_on_disk == [1, 2, 3, 4, 5, 6]
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [row["iter"] for row in rows] == [0, 1, 2, 3, 4, 5]
 
     def test_trace_schema(self, small_world):
         world, _, _, source = small_world
