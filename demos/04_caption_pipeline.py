@@ -24,21 +24,23 @@ first_item = sorted(scores)[0]
 picked = select_keyframes(scores[first_item])
 print(f"keyframes for {first_item}: {[f.index for f in picked]} (scores {[f.score for f in picked]})")
 
-workdir = Path(tempfile.mkdtemp(prefix="caption-demo-"))
-replay_log = workdir / "replay.jsonl"
-live = RecordingTransport(MockTransport(responder=make_caption_responder()), replay_log)
-report = batch_augment(catalog, scores, cfg, live, workdir / "captions_live.jsonl")
-print(f"\nlive run:   written={report.written} skipped={report.skipped} failures={report.failures}")
+with tempfile.TemporaryDirectory(prefix="caption-demo-") as tmp:
+    workdir = Path(tmp)
+    replay_log = workdir / "replay.jsonl"
+    with RecordingTransport(MockTransport(responder=make_caption_responder()), replay_log) as live:
+        report = batch_augment(catalog, scores, cfg, live, workdir / "captions_live.jsonl")
+    print(f"\nlive run:   written={report.written} skipped={report.skipped} failures={report.failures}")
 
-replayed = batch_augment(
-    catalog, scores, cfg, ReplayTransport(replay_log), workdir / "captions_replay.jsonl"
-)
-print(f"replay run: written={replayed.written}")
-same = (workdir / "captions_live.jsonl").read_bytes() == (workdir / "captions_replay.jsonl").read_bytes()
-print(f"byte-identical caption files: {same}")
+    replayed = batch_augment(
+        catalog, scores, cfg, ReplayTransport(replay_log), workdir / "captions_replay.jsonl"
+    )
+    print(f"replay run: written={replayed.written}")
+    live_captions = (workdir / "captions_live.jsonl").read_bytes()
+    same = live_captions == (workdir / "captions_replay.jsonl").read_bytes()
+    print(f"byte-identical caption files: {same}")
 
 print("\ncaptions:")
-for line in (workdir / "captions_live.jsonl").read_text().splitlines():
+for line in live_captions.decode("utf-8").splitlines():
     row = json.loads(line)
     words = len(row["caption"].split())
     print(f"  {row['item']} ({words} words): {row['caption']}")

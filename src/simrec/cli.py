@@ -19,11 +19,13 @@ JSON file against the type and choices of the flag it stands for.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -195,7 +197,8 @@ def _endpoint_config(resolved: dict) -> EndpointConfig:
     )
 
 
-def _transport(resolved: dict, cfg: EndpointConfig) -> Transport:
+@contextlib.contextmanager
+def _transport(resolved: dict, cfg: EndpointConfig) -> Iterator[Transport]:
     if resolved.get("replay"):
         transport: Transport = ReplayTransport(_require_file(resolved["replay"], "replay file"))
     elif resolved.get("endpoint"):
@@ -203,8 +206,10 @@ def _transport(resolved: dict, cfg: EndpointConfig) -> Transport:
     else:
         raise InputError("provide --endpoint URL or --replay FILE")
     if resolved.get("record"):
-        transport = RecordingTransport(transport, resolved["record"])
-    return transport
+        with RecordingTransport(transport, resolved["record"]) as recorder:
+            yield recorder
+    else:
+        yield transport
 
 
 def _ks(spec: str) -> tuple[int, ...]:
@@ -238,18 +243,17 @@ def cmd_augment(args: argparse.Namespace) -> int:
     frame_scores = _require_file(resolved["frame_scores"], "frame-scores file")
     catalog, _ = load_interactions(interactions)
     cfg = _endpoint_config(resolved)
-    transport = _transport(resolved, cfg)
-
     captions_path = out / "captions.jsonl"
-    report = batch_augment(
-        catalog,
-        frame_scores,
-        cfg,
-        transport,
-        captions_path,
-        model=resolved["model"],
-        parallelism=resolved["parallelism"],
-    )
+    with _transport(resolved, cfg) as transport:
+        report = batch_augment(
+            catalog,
+            frame_scores,
+            cfg,
+            transport,
+            captions_path,
+            model=resolved["model"],
+            parallelism=resolved["parallelism"],
+        )
     (out / "failures.json").write_text(
         json.dumps([{"item": i, "stage": s} for i, s in report.failures], indent=2) + "\n",
         encoding="utf-8",
@@ -320,12 +324,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InputError("no episodes left after filtering")
 
     cfg = _endpoint_config(resolved)
-    transport = _transport(resolved, cfg)
     requests = [
         simulation_request(ep.prompt, model=resolved["model"], temperature=resolved["temperature"])
         for ep in episodes
     ]
-    replies = complete_batch(requests, cfg, transport=transport)
+    with _transport(resolved, cfg) as transport:
+        replies = complete_batch(requests, cfg, transport=transport)
 
     transcripts = []
     judgment_preds: list[str] = []

@@ -17,6 +17,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -201,6 +202,23 @@ def _parse_jsonl_row(line: str, lineno: int) -> dict:
     return row
 
 
+def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, row)`` for every non-blank line of a JSONL file.
+
+    A line that is not a JSON object raises ValueError naming the path and line.
+    """
+    path = Path(path)
+    with path.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = _parse_jsonl_row(line, lineno)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            yield lineno, row
+
+
 def _parse_tsv_row(line: str, lineno: int) -> dict:
     fields = line.rstrip("\n").split("\t")
     if len(fields) not in (3, 4):
@@ -305,26 +323,21 @@ def attach_captions(catalog: dict[ItemId, Item], captions: str | Path) -> dict[I
     captions (empty, over the word cap) are skipped with a warning; they are
     not fatal. Returns a new catalog; the input is unchanged.
     """
-    path = Path(captions)
     updated = dict(catalog)
     unknown = 0
     rejected = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            row = _parse_jsonl_row(line, lineno)
-            item_id = str(row.get("item", ""))
-            caption = row.get("caption")
-            if item_id not in updated:
-                unknown += 1
-                logger.warning("line %d: caption for unknown item %r", lineno, item_id)
-                continue
-            try:
-                updated[item_id] = replace(updated[item_id], enhanced_caption=caption)
-            except (ValueError, TypeError) as exc:
-                rejected += 1
-                logger.warning("line %d: rejected caption for %r (%s)", lineno, item_id, exc)
+    for lineno, row in iter_jsonl(captions):
+        item_id = str(row.get("item", ""))
+        caption = row.get("caption")
+        if item_id not in updated:
+            unknown += 1
+            logger.warning("line %d: caption for unknown item %r", lineno, item_id)
+            continue
+        try:
+            updated[item_id] = replace(updated[item_id], enhanced_caption=caption)
+        except (ValueError, TypeError) as exc:
+            rejected += 1
+            logger.warning("line %d: rejected caption for %r (%s)", lineno, item_id, exc)
     if unknown or rejected:
         logger.warning("attach_captions: %d unknown item(s), %d rejected row(s)", unknown, rejected)
     return updated

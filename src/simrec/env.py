@@ -27,6 +27,7 @@ from .core import (
     TaskKind,
     UserHistory,
     UserId,
+    iter_jsonl,
 )
 
 # Shared response-format instructions; the task-specific goal is substituted in.
@@ -469,45 +470,41 @@ def export_episodes(episodes: Iterable[Episode], path: str | Path) -> int:
 def load_episodes(path: str | Path) -> list[Episode]:
     """Reload episodes exported by :func:`export_episodes`."""
     episodes: list[Episode] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            try:
-                if row["task"] == "selection":
-                    order = tuple(row["candidate_items"])
-                    truth = int(row["truth"])
-                    positive = order[truth - 1]
-                    if "negatives" in row:
-                        negatives = tuple(row["negatives"])
-                    else:
-                        negatives = tuple(i for i in order if i != positive)
-                    candidates = CandidateSet(
-                        positive=positive,
-                        negatives=negatives,
-                        presentation_order=order,
-                        rng_seed=int(row.get("rng_seed", 0)),
-                    )
-                    captions = row.get("candidate_captions")
-                    task: TaskKind = Selection(
-                        candidates=candidates,
-                        captions=tuple(captions) if captions else None,
-                    )
-                elif row["task"] == "judgment":
-                    truth = str(row["truth"])
-                    task = Judgment(item=row["item"], label=truth)
+    for lineno, row in iter_jsonl(path):
+        try:
+            if row["task"] == "selection":
+                order = tuple(row["candidate_items"])
+                truth = int(row["truth"])
+                positive = order[truth - 1]
+                if "negatives" in row:
+                    negatives = tuple(row["negatives"])
                 else:
-                    raise ValueError(f"unknown task {row['task']!r}")
-                episodes.append(
-                    Episode(
-                        user=row["user"],
-                        profile_text=row.get("profile", ""),
-                        task=task,
-                        prompt=row["prompt"],
-                        truth=truth,
-                    )
+                    negatives = tuple(i for i in order if i != positive)
+                candidates = CandidateSet(
+                    positive=positive,
+                    negatives=negatives,
+                    presentation_order=order,
+                    rng_seed=int(row.get("rng_seed", 0)),
                 )
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ValueError(f"line {lineno}: malformed episode row ({exc})") from exc
+                captions = row.get("candidate_captions")
+                task: TaskKind = Selection(
+                    candidates=candidates,
+                    captions=tuple(captions) if captions else None,
+                )
+            elif row["task"] == "judgment":
+                truth = str(row["truth"])
+                task = Judgment(item=row["item"], label=truth)
+            else:
+                raise ValueError(f"unknown task {row['task']!r}")
+            episodes.append(
+                Episode(
+                    user=row["user"],
+                    profile_text=row.get("profile", ""),
+                    task=task,
+                    prompt=row["prompt"],
+                    truth=truth,
+                )
+            )
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: malformed episode row ({exc})") from exc
     return episodes

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import CAPTION_TARGET_WORDS, CAPTION_WORD_LIMIT, Item, ItemId, word_count
+from .core import CAPTION_TARGET_WORDS, CAPTION_WORD_LIMIT, Item, ItemId, iter_jsonl, word_count
 from .llmclient import (
     ChatMessage,
     ChatRequest,
@@ -24,6 +23,7 @@ from .llmclient import (
     ClientStats,
     EndpointConfig,
     Transport,
+    _run_ordered,
     complete,
 )
 
@@ -215,10 +215,10 @@ def _existing_caption_items(path: Path) -> set[ItemId]:
     done: set[ItemId] = set()
     if not path.exists():
         return done
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                done.add(str(json.loads(line)["item"]))
+    for lineno, row in iter_jsonl(path):
+        if "item" not in row:
+            raise ValueError(f"{path}: line {lineno}: caption row has no 'item'")
+        done.add(str(row["item"]))
     return done
 
 
@@ -237,8 +237,10 @@ def batch_augment(
 
     Resumable: items that already have a caption row in the output are
     skipped. Items without frame scores and per-item pipeline errors land in
-    the failure report; the batch continues. Output rows are written in
-    sorted item order so reruns are byte-identical.
+    the failure report; the batch continues. Up to ``parallelism`` items are
+    captioned at once, and each row is written and flushed as soon as every
+    earlier item is done, in sorted item order, so an interrupted run leaves
+    a sorted prefix on disk and reruns are byte-identical.
     """
     if not isinstance(frame_scores, dict):
         frame_scores = load_frame_scores(frame_scores)
@@ -258,9 +260,9 @@ def batch_augment(
         else:
             todo.append(item_id)
 
-    def caption_one(item_id: ItemId) -> EnhancedCaption | PipelineError | ClientError:
+    def caption_one(item_id: ItemId) -> tuple[ItemId, EnhancedCaption | PipelineError | ClientError]:
         try:
-            return run_ip_pipeline(
+            return item_id, run_ip_pipeline(
                 catalog[item_id],
                 select_keyframes(frame_scores[item_id]),
                 cfg,
@@ -269,16 +271,12 @@ def batch_augment(
                 stats=stats,
             )
         except (PipelineError, ClientError) as exc:
-            return exc
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(caption_one, todo))
-    else:
-        results = [caption_one(i) for i in todo]
+            return item_id, exc
 
     with out_path.open("a", encoding="utf-8") as handle:
-        for item_id, result in zip(todo, results):
+
+        def write(outcome: tuple[ItemId, EnhancedCaption | PipelineError | ClientError]) -> None:
+            item_id, result = outcome
             if isinstance(result, PipelineError):
                 report.failures.append((item_id, result.stage))
             elif isinstance(result, ClientError):
@@ -287,5 +285,8 @@ def batch_augment(
                 handle.write(
                     json.dumps({"item": item_id, "caption": result.caption}, sort_keys=True) + "\n"
                 )
+                handle.flush()
                 report.written += 1
+
+        _run_ordered(caption_one, todo, parallelism, write)
     return report

@@ -5,6 +5,13 @@ request payload and returns the JSON response body (the de-facto
 ``POST /v1/chat/completions`` schema). Besides the real HTTP transport there
 is a scriptable mock for tests, plus recording/replay transports so any
 pipeline can be re-run byte-identically without a live endpoint.
+
+A batch runs on at most ``max_in_flight`` plain worker threads (none when it
+is 1: the caller's thread does the work). Each worker takes the next request
+in turn, and results are handed on in input order as soon as every earlier
+one is done. ``RecordingTransport`` keeps one append handle open from its
+first request and writes each row through to the file before ``send``
+returns; ``close()`` it, or use it as a context manager, when the batch ends.
 """
 
 from __future__ import annotations
@@ -15,10 +22,14 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence, TypeVar
+
+from .core import iter_jsonl
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class ClientError(RuntimeError):
@@ -194,21 +205,39 @@ def _canonical(payload: dict) -> str:
 
 
 class RecordingTransport(Transport):
-    """Wraps another transport and appends {request, response} JSONL rows."""
+    """Wraps another transport and appends {request, response} JSONL rows.
+
+    The file is opened on the first ``send`` (a run that sends nothing
+    creates none) and each row is flushed to it before ``send`` returns.
+    """
 
     def __init__(self, inner: Transport, path: str | Path) -> None:
         self.inner = inner
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._handle: BinaryIO | None = None
 
     def send(self, payload: dict) -> dict:
         response = self.inner.send(payload)
+        row = json.dumps({"request": payload, "response": response}, sort_keys=True) + "\n"
         with self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps({"request": payload, "response": response}, sort_keys=True) + "\n"
-                )
+            if self._handle is None:
+                self._handle = self.path.open("ab")
+            self._handle.write(row.encode("utf-8"))
+            self._handle.flush()
         return response
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
+    def __enter__(self) -> RecordingTransport:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 class ReplayTransport(Transport):
@@ -222,12 +251,10 @@ class ReplayTransport(Transport):
         self.path = Path(path)
         self._responses: dict[str, list[dict]] = {}
         self._lock = threading.Lock()
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                self._responses.setdefault(_canonical(row["request"]), []).append(row["response"])
+        for lineno, row in iter_jsonl(self.path):
+            if "request" not in row or "response" not in row:
+                raise ValueError(f"{self.path}: line {lineno}: replay row needs 'request' and 'response'")
+            self._responses.setdefault(_canonical(row["request"]), []).append(row["response"])
 
     def send(self, payload: dict) -> dict:
         key = _canonical(payload)
@@ -319,5 +346,75 @@ def complete_batch(
         except ClientError as exc:
             return exc
 
-    with ThreadPoolExecutor(max_workers=cfg.max_in_flight) as pool:
-        return list(pool.map(one, reqs))
+    results: list[str | ClientError] = []
+    _run_ordered(one, reqs, cfg.max_in_flight, results.append)
+    return results
+
+
+def _run_ordered(
+    fn: Callable[[T], R], items: Sequence[T], workers: int, emit: Callable[[R], object]
+) -> None:
+    """Call ``emit(fn(item))`` for every item, in input order, on ``workers`` threads.
+
+    At most ``min(workers, len(items))`` threads run ``fn``; each takes the
+    next item under one lock. A result goes to ``emit`` (under the same lock,
+    so ``emit`` never runs concurrently) once every earlier result has gone.
+    With one worker everything runs on the caller's thread. The first
+    exception raised by ``fn``, by ``emit`` or while the caller waits stops
+    new items from starting; the threads finish their current items, results
+    that are next in order are still emitted unless ``emit`` itself failed,
+    and the exception is re-raised here.
+    """
+    n_threads = min(workers, len(items))
+    if n_threads <= 1:
+        for item in items:
+            emit(fn(item))
+        return
+    lock = threading.Lock()
+    finished: dict[int, R] = {}
+    taken = emitted = 0
+    error: BaseException | None = None
+    emit_failed = False
+
+    def fail(exc: BaseException) -> None:
+        nonlocal error
+        if error is None:
+            error = exc
+
+    def work() -> None:
+        nonlocal taken, emitted, emit_failed
+        while True:
+            with lock:
+                if error is not None or taken == len(items):
+                    return
+                index = taken
+                taken += 1
+            try:
+                result = fn(items[index])
+            except BaseException as exc:
+                with lock:
+                    fail(exc)
+                return
+            with lock:
+                finished[index] = result
+                while not emit_failed and emitted in finished:
+                    try:
+                        emit(finished.pop(emitted))
+                    except BaseException as exc:
+                        emit_failed = True
+                        fail(exc)
+                    emitted += 1
+
+    threads = [threading.Thread(target=work, name=f"simrec-batch-{i}") for i in range(n_threads)]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:
+        with lock:
+            fail(exc)
+        for thread in threads:
+            thread.join()
+    if error is not None:
+        raise error

@@ -270,8 +270,8 @@ def test_c07_ip_pipeline_determinism(tmp_path):
     catalog, _ = load_interactions(DATA_DIR / "interactions.jsonl")
     cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
     replay_log = tmp_path / "replay.jsonl"
-    live = RecordingTransport(MockTransport(responder=make_caption_responder()), replay_log)
-    batch_augment(catalog, DATA_DIR / "frame_scores.jsonl", cfg, live, tmp_path / "seed.jsonl")
+    with RecordingTransport(MockTransport(responder=make_caption_responder()), replay_log) as live:
+        batch_augment(catalog, DATA_DIR / "frame_scores.jsonl", cfg, live, tmp_path / "seed.jsonl")
 
     outputs = []
     for run_name in ("one", "two"):
@@ -325,9 +325,9 @@ def test_c08_environment_invariants(tmp_path):
     episodes_path = tmp_path / "episodes.jsonl"
     export_episodes(episodes, episodes_path)
     replay_log = tmp_path / "uniform.jsonl"
-    record = RecordingTransport(MockTransport(responder=make_uniform_responder(4, seed=9)), replay_log)
     cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
-    complete_batch([simulation_request(ep.prompt) for ep in episodes], cfg, transport=record)
+    with RecordingTransport(MockTransport(responder=make_uniform_responder(4, seed=9)), replay_log) as record:
+        complete_batch([simulation_request(ep.prompt) for ep in episodes], cfg, transport=record)
 
     from simrec.cli import main as cli_main
 
@@ -379,13 +379,8 @@ def test_c10_end_to_end_smoke(tmp_path):
     catalog, histories = load_interactions(DATA_DIR / "interactions.jsonl")
     cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
     augment_replay = run_dir / "augment_replay.jsonl"
-    batch_augment(
-        catalog,
-        DATA_DIR / "frame_scores.jsonl",
-        cfg,
-        RecordingTransport(MockTransport(responder=make_caption_responder()), augment_replay),
-        run_dir / "warmup_captions.jsonl",
-    )
+    with RecordingTransport(MockTransport(responder=make_caption_responder()), augment_replay) as live:
+        batch_augment(catalog, DATA_DIR / "frame_scores.jsonl", cfg, live, run_dir / "warmup_captions.jsonl")
     world, wcatalog, whistories = generate_synthetic_world(
         n_users=25, n_items=100, dim=6, seed=99, history_length=5, pool_size=10
     )
@@ -395,13 +390,10 @@ def test_c10_end_to_end_smoke(tmp_path):
     episodes_path = run_dir / "episodes.jsonl"
     export_episodes(episodes, episodes_path)
     simulate_replay = run_dir / "simulate_replay.jsonl"
-    complete_batch(
-        [simulation_request(ep.prompt) for ep in episodes],
-        cfg,
-        transport=RecordingTransport(
-            MockTransport(responder=make_uniform_responder(4, seed=10)), simulate_replay
-        ),
-    )
+    with RecordingTransport(
+        MockTransport(responder=make_uniform_responder(4, seed=10)), simulate_replay
+    ) as live:
+        complete_batch([simulation_request(ep.prompt) for ep in episodes], cfg, transport=live)
 
     stages = [
         (

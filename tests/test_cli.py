@@ -30,10 +30,10 @@ def episode_source():
 
 def record_simulation(episodes, responder, path):
     """Record responder replies for exactly the requests simulate will send."""
-    transport = RecordingTransport(MockTransport(responder=responder), path)
     cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
     requests = [simulation_request(ep.prompt) for ep in episodes]
-    complete_batch(requests, cfg, transport=transport)
+    with RecordingTransport(MockTransport(responder=responder), path) as transport:
+        complete_batch(requests, cfg, transport=transport)
 
 
 class TestAugmentCommand:
@@ -45,14 +45,14 @@ class TestAugmentCommand:
         from simrec.ipagent import batch_augment
 
         catalog, _ = load_interactions(DATA_DIR / "interactions.jsonl")
-        live = RecordingTransport(MockTransport(responder=make_caption_responder()), replay)
-        batch_augment(
-            catalog,
-            DATA_DIR / "frame_scores.jsonl",
-            EndpointConfig(max_retries=0, backoff_base=0.0),
-            live,
-            tmp_path / "scratch.jsonl",
-        )
+        with RecordingTransport(MockTransport(responder=make_caption_responder()), replay) as live:
+            batch_augment(
+                catalog,
+                DATA_DIR / "frame_scores.jsonl",
+                EndpointConfig(max_retries=0, backoff_base=0.0),
+                live,
+                tmp_path / "scratch.jsonl",
+            )
         code = run(
             "augment",
             "--interactions", DATA_DIR / "interactions.jsonl",
@@ -86,14 +86,14 @@ class TestAugmentCommand:
         from simrec.ipagent import batch_augment
 
         catalog, _ = load_interactions(DATA_DIR / "interactions.jsonl")
-        live = RecordingTransport(MockTransport(responder=make_caption_responder()), replay)
-        batch_augment(
-            catalog,
-            DATA_DIR / "frame_scores.jsonl",
-            EndpointConfig(max_retries=0, backoff_base=0.0),
-            live,
-            tmp_path / "scratch.jsonl",
-        )
+        with RecordingTransport(MockTransport(responder=make_caption_responder()), replay) as live:
+            batch_augment(
+                catalog,
+                DATA_DIR / "frame_scores.jsonl",
+                EndpointConfig(max_retries=0, backoff_base=0.0),
+                live,
+                tmp_path / "scratch.jsonl",
+            )
         for _ in range(2):
             code = run(
                 "augment",
@@ -268,6 +268,16 @@ class TestSimulateCommand:
         export_episodes([episode_source.sample(rng, "judgment")], episodes_path)
         assert run("simulate", "--episodes", episodes_path, "--out", tmp_path / "run") == 2
 
+    def test_malformed_replay_row_exits_2_naming_file_and_line(self, tmp_path, episode_source, capsys):
+        rng = np.random.default_rng(77)
+        episodes_path = tmp_path / "episodes.jsonl"
+        export_episodes([episode_source.sample(rng, "judgment")], episodes_path)
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text('{"request": {}}\n')
+        code = run("simulate", "--episodes", episodes_path, "--replay", replay, "--out", tmp_path / "run")
+        assert code == 2
+        assert "replay.jsonl: line 1" in capsys.readouterr().err
+
     def test_mixed_file_reports_both_metric_families(self, tmp_path, episode_source):
         rng = np.random.default_rng(75)
         episodes = [episode_source.sample(rng, "selection") for _ in range(10)]
@@ -417,14 +427,14 @@ def caption_replay(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("captions")
     catalog, _ = load_interactions(DATA_DIR / "interactions.jsonl")
-    live = RecordingTransport(MockTransport(responder=make_caption_responder()), root / "replay.jsonl")
-    batch_augment(
-        catalog,
-        DATA_DIR / "frame_scores.jsonl",
-        EndpointConfig(max_retries=0, backoff_base=0.0),
-        live,
-        root / "scratch.jsonl",
-    )
+    with RecordingTransport(MockTransport(responder=make_caption_responder()), root / "replay.jsonl") as live:
+        batch_augment(
+            catalog,
+            DATA_DIR / "frame_scores.jsonl",
+            EndpointConfig(max_retries=0, backoff_base=0.0),
+            live,
+            root / "scratch.jsonl",
+        )
     return root / "replay.jsonl"
 
 

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion and prints something."""
+"""Smoke test: every demo script runs to completion, prints something and cleans up."""
 
 import os
 import subprocess
@@ -21,3 +21,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    assert list(tmp_path.iterdir()) == []

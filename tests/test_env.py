@@ -219,6 +219,15 @@ class TestEpisodeExport:
         with pytest.raises(ValueError, match="line 1"):
             load_episodes(path)
 
+    def test_bad_json_names_file_and_line(self, small_world, tmp_path):
+        _, _, _, source = small_world
+        path = tmp_path / "episodes.jsonl"
+        export_episodes([source.sample(np.random.default_rng(45), "judgment")], path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("\n{truncated\n")
+        with pytest.raises(ValueError, match="episodes.jsonl: line 3: invalid JSON"):
+            load_episodes(path)
+
 
 class TestConfigValidation:
     def test_env_config_bounds(self):

@@ -180,14 +180,65 @@ class TestBatchAugment:
 
     def test_replay_determinism(self, tmp_path, catalog5, bundled_dataset):
         log = tmp_path / "replay.jsonl"
-        live = RecordingTransport(MockTransport(responder=make_caption_responder()), log)
         first = tmp_path / "captions1.jsonl"
-        batch_augment(catalog5, bundled_dataset["frame_scores"], CFG, live, first)
+        with RecordingTransport(MockTransport(responder=make_caption_responder()), log) as live:
+            batch_augment(catalog5, bundled_dataset["frame_scores"], CFG, live, first)
         second = tmp_path / "captions2.jsonl"
         batch_augment(
             catalog5, bundled_dataset["frame_scores"], CFG, ReplayTransport(log), second
         )
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestBatchAugmentStreaming:
+    """Rows reach the file one by one, so a crashed batch resumes where it stopped."""
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_crash_leaves_the_finished_sorted_prefix_then_rerun_resumes(
+        self, tmp_path, catalog5, bundled_dataset, parallelism
+    ):
+        scores = load_frame_scores(bundled_dataset["frame_scores"])
+        reference = tmp_path / "reference.jsonl"
+        batch_augment(catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), reference)
+        expected = reference.read_text().splitlines(keepends=True)
+
+        crash_item = sorted(scores)[3]
+        base = make_caption_responder()
+
+        def crashing(payload):
+            body = base(payload)
+            if crash_item in body["choices"][0]["message"]["content"]:
+                raise RuntimeError("responder bug")
+            return body
+
+        out = tmp_path / "captions.jsonl"
+        with pytest.raises(RuntimeError, match="responder bug"):
+            batch_augment(
+                catalog5, scores, CFG, MockTransport(responder=crashing), out, parallelism=parallelism
+            )
+        assert out.read_text() == "".join(expected[:3])
+
+        report = batch_augment(
+            catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), out,
+            parallelism=parallelism,
+        )
+        assert (report.written, report.skipped) == (2, 3)
+        assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [('{"item": "a", "caption": "x"}\n{oops\n', "line 2: invalid JSON"),
+     ('{"caption": "x"}\n', "line 1: caption row has no 'item'")],
+)
+def test_malformed_existing_caption_row_names_file_and_line(
+    tmp_path, catalog5, bundled_dataset, content, needle
+):
+    out = tmp_path / "captions.jsonl"
+    out.write_text(content)
+    transport = MockTransport(responder=make_caption_responder())
+    with pytest.raises(ValueError, match=f"captions.jsonl: {needle}"):
+        batch_augment(catalog5, bundled_dataset["frame_scores"], CFG, transport, out)
 
 
 def test_load_frame_scores_malformed_names_line(tmp_path):

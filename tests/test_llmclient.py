@@ -1,8 +1,13 @@
 import json
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simrec.llmclient import (
     ChatMessage,
@@ -17,6 +22,7 @@ from simrec.llmclient import (
     RecordingTransport,
     ReplayTransport,
     TransportError,
+    _run_ordered,
     complete,
     complete_batch,
     text_response,
@@ -141,15 +147,115 @@ class TestCompleteBatch:
     def test_empty_batch(self):
         assert complete_batch([], CFG, transport=MockTransport(script=[])) == []
 
+    def test_non_client_error_reaches_the_caller(self):
+        def responder(payload):
+            if payload["messages"][0]["content"] == "bug":
+                raise KeyError("responder bug")
+            return "fine"
+
+        reqs = [request(t) for t in ("a", "b", "bug", "c", "d")]
+        with pytest.raises(KeyError, match="responder bug"):
+            complete_batch(reqs, CFG, transport=MockTransport(responder=responder))
+
+
+class Concurrency:
+    """Calls ``fn`` and counts how many calls overlap."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+        self.threads = set()
+
+    def __call__(self, item):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.threads.add(threading.get_ident())
+        try:
+            return self.fn(item)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def slow_square(item):
+    index, pause = item
+    time.sleep(pause)
+    return index * index
+
+
+class TestRunOrdered:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pauses=st.lists(st.floats(0, 0.001), max_size=40),
+        workers=st.integers(1, 4),
+    )
+    def test_emits_in_input_order_within_the_worker_bound(self, pauses, workers):
+        items = list(enumerate(pauses))
+        fn = Concurrency(slow_square)
+        emitted = []
+        _run_ordered(fn, items, workers, emitted.append)
+        assert emitted == [slow_square((i, 0)) for i, _ in items]
+        assert fn.peak <= workers
+
+    def test_one_worker_runs_on_the_callers_thread(self):
+        fn = Concurrency(lambda x: x + 1)
+        emitted = []
+        _run_ordered(fn, list(range(10)), 1, emitted.append)
+        assert emitted == list(range(1, 11))
+        assert fn.threads == {threading.get_ident()}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_exception_at_item_k_stops_the_batch(self, workers):
+        k = 7
+
+        def fn(item):
+            time.sleep(0.001 * (item % 3))
+            if item == k:
+                raise RuntimeError(f"item {item}")
+            return item
+
+        emitted = []
+        with pytest.raises(RuntimeError, match=f"item {k}"):
+            _run_ordered(fn, list(range(20)), workers, emitted.append)
+        assert emitted == list(range(k))
+
+    def test_emit_failure_stops_emitting(self):
+        emitted = []
+
+        def emit(result):
+            if result == 4:
+                raise OSError("disk full")
+            emitted.append(result)
+
+        with pytest.raises(OSError, match="disk full"):
+            _run_ordered(lambda x: x, list(range(50)), 3, emit)
+        assert emitted == [0, 1, 2, 3]
+
+    def test_stress_more_workers_than_cores(self):
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fn = Concurrency(lambda x: x)
+            emitted = []
+            _run_ordered(fn, list(range(3000)), 8, emitted.append)
+        finally:
+            sys.setswitchinterval(old)
+        assert emitted == list(range(3000))
+        assert fn.peak <= 8
+        assert not [t for t in threading.enumerate() if t.name.startswith("simrec-batch-")]
+
 
 class TestRecordReplay:
     def test_record_then_replay_reproduces_outputs(self, tmp_path):
         log = tmp_path / "replay.jsonl"
-        live = RecordingTransport(
-            MockTransport(responder=lambda p: p["messages"][0]["content"].upper()), log
-        )
         reqs = [request(t) for t in ("alpha", "beta", "alpha")]
-        first = complete_batch(reqs, CFG, transport=live)
+        with RecordingTransport(
+            MockTransport(responder=lambda p: p["messages"][0]["content"].upper()), log
+        ) as live:
+            first = complete_batch(reqs, CFG, transport=live)
         replayed = complete_batch(reqs, CFG, transport=ReplayTransport(log))
         assert replayed == first == ["ALPHA", "BETA", "ALPHA"]
 
@@ -162,6 +268,29 @@ class TestRecordReplay:
         transport = ReplayTransport(log)
         with pytest.raises(TransportError, match="no recorded response"):
             transport.send(request("unseen").to_payload())
+
+    def test_recorded_rows_are_on_disk_before_close(self, tmp_path):
+        log = tmp_path / "replay.jsonl"
+        with RecordingTransport(MockTransport(responder=lambda p: "r"), log) as live:
+            assert not log.exists()  # opened on the first send
+            complete_batch([request("a"), request("b")], CFG, transport=live)
+            with log.open("r", encoding="utf-8") as second_handle:
+                rows = [json.loads(line) for line in second_handle]
+            assert sorted(row["request"]["messages"][0]["content"] for row in rows) == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "second_row, needle",
+        [
+            ('{"request": {"model": "m"}}', "line 2: replay row needs"),
+            ("{not json", "line 2: invalid JSON"),
+        ],
+    )
+    def test_malformed_replay_row_names_file_and_line(self, tmp_path, second_row, needle):
+        log = tmp_path / "replay.jsonl"
+        good = json.dumps({"request": request("x").to_payload(), "response": text_response("y")})
+        log.write_text(good + "\n" + second_row + "\n")
+        with pytest.raises(ValueError, match=f"replay.jsonl: {needle}"):
+            ReplayTransport(log)
 
     def test_repeated_requests_replay_in_order(self, tmp_path):
         log = tmp_path / "replay.jsonl"
