@@ -30,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .core import Judgment, Selection, attach_captions, load_interactions
+from .core import Judgment, Selection, attach_captions, load_interactions, write_jsonl
 from .env import EnvConfig, SyntheticEpisodeSource, derive_seed, generate_synthetic_world, load_episodes
 from .grpo import (
     GrpoConfig,
@@ -51,14 +51,12 @@ from .llmclient import (
     complete_batch,
 )
 from .recommender import (
+    GENERATORS,
     MetricReport,
     RandomGenerator,
     augment_with_feedback,
     classification_metrics,
     evaluate_leave_one_out,
-    fit_embedding,
-    fit_markov,
-    fit_popularity,
     load_feedback,
     load_item_features,
 )
@@ -67,9 +65,6 @@ from .rewards import Select, Verdict, parse_response, total_reward
 
 class InputError(ValueError):
     """Bad flags or bad input files; maps to exit code 2."""
-
-
-_GENERATORS = {"popularity": fit_popularity, "markov": fit_markov, "embedding": fit_embedding}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +95,10 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path: Path, obj: object) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[str | Path]) -> None:
     manifest = {
         "command": command,
@@ -109,9 +108,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[str 
         },
         "version": __version__,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -254,10 +251,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             model=resolved["model"],
             parallelism=resolved["parallelism"],
         )
-    (out / "failures.json").write_text(
-        json.dumps([{"item": i, "stage": s} for i, s in report.failures], indent=2) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "failures.json", [{"item": i, "stage": s} for i, s in report.failures])
     _write_manifest(out, "augment", resolved, [interactions, frame_scores])
     print(f"captions: {captions_path}")
     print(f"written: {report.written} skipped: {report.skipped} failed: {len(report.failures)}")
@@ -276,7 +270,7 @@ def cmd_eval_rec(args: argparse.Namespace) -> int:
     slices = tuple(resolved["slice"].split(","))
     train_views = [h.training_view() for h in histories]
 
-    generator = _GENERATORS[resolved["model"]](train_views, catalog)
+    generator = GENERATORS[resolved["model"]](train_views, catalog)
     reports = evaluate_leave_one_out(generator, histories, ks=ks, slices=slices)
 
     baseline = RandomGenerator(seed=resolved["seed"])
@@ -288,7 +282,7 @@ def cmd_eval_rec(args: argparse.Namespace) -> int:
         "slices": {tag: rep.to_dict() for tag, rep in reports.items()},
         "random_baseline": {tag: rep.to_dict() for tag, rep in baseline_reports.items()},
     }
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "report.json", payload)
     _write_manifest(
         out,
         "eval-rec",
@@ -386,10 +380,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if judgment_truths:
         metrics["parse_failures"] = parse_failures
 
-    with (out / "transcripts.jsonl").open("w", encoding="utf-8") as handle:
-        for row in transcripts:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_jsonl(out / "transcripts.jsonl", transcripts)
+    _write_json(out / "metrics.json", metrics)
     _write_manifest(out, "simulate", resolved, [episodes_path])
     print(json.dumps(metrics, sort_keys=True))
     return 0
@@ -474,7 +466,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         if task == "mixed"
         else None,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "summary.json", summary)
     _write_manifest(out, "train-toy", resolved, inputs)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -493,7 +485,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
     ks = _ks(resolved["k"])
 
     train_views = [h.training_view() for h in histories]
-    fit = _GENERATORS[resolved["model"]]
+    fit = GENERATORS[resolved["model"]]
     before = evaluate_leave_one_out(fit(train_views, catalog), histories, ks=ks)
     augmented = augment_with_feedback(train_views, feedback, catalog)
     after = evaluate_leave_one_out(fit(augmented, catalog), histories, ks=ks)
@@ -504,7 +496,7 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         "before": {tag: rep.to_dict() for tag, rep in before.items()},
         "after": {tag: rep.to_dict() for tag, rep in after.items()},
     }
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "report.json", payload)
     _write_manifest(out, "rerank", resolved, [interactions, feedback_path])
     for k in ks:
         print(
@@ -533,7 +525,7 @@ _ENDPOINT = (
     _Option("in_flight", int, 4),
 )
 _MODEL_HELP = "model name sent with each request"
-_RANKERS = tuple(sorted(_GENERATORS))
+_RANKERS = tuple(sorted(GENERATORS))
 _TASKS = ("judgment", "selection")
 
 # train-toy settings that a --world-spec file may also set

@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -192,20 +192,27 @@ def _infer_format(path: Path) -> str:
     return "jsonl"
 
 
-def _parse_jsonl_row(line: str, lineno: int) -> dict:
+def _parse_jsonl_row(line: str) -> dict:
     try:
         row = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        raise ValueError(f"invalid JSON ({exc.msg})") from exc
     if not isinstance(row, dict):
-        raise ValueError(f"line {lineno}: expected an object")
+        raise ValueError("expected an object")
     return row
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(lineno, row)`` for every non-blank line of a JSONL file.
+def iter_jsonl(
+    path: str | Path,
+    convert: Callable[[dict], Any] | None = None,
+    parse_line: Callable[[str], dict] = _parse_jsonl_row,
+) -> Iterator[tuple[int, Any]]:
+    """Yield ``(lineno, value)`` for every non-blank line of a line-oriented file.
 
-    A line that is not a JSON object raises ValueError naming the path and line.
+    ``parse_line`` turns a line into a row (a JSON object by default), and
+    ``convert``, when given, turns the row into the yielded value. A KeyError,
+    TypeError, IndexError or ValueError raised by either becomes a ValueError
+    that names the path and line.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -213,20 +220,33 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not line.strip():
                 continue
             try:
-                row = _parse_jsonl_row(line, lineno)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
-            yield lineno, row
+                row = parse_line(line)
+                value = row if convert is None else convert(row)
+            except KeyError as exc:
+                raise ValueError(f"{path}: line {lineno}: missing field {exc}") from exc
+            except (TypeError, IndexError, ValueError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            yield lineno, value
 
 
-def _parse_tsv_row(line: str, lineno: int) -> dict:
+def _parse_tsv_row(line: str) -> dict:
     fields = line.rstrip("\n").split("\t")
     if len(fields) not in (3, 4):
-        raise ValueError(f"line {lineno}: expected 3 or 4 tab-separated fields")
+        raise ValueError("expected 3 or 4 tab-separated fields")
     row = {"user": fields[0], "item": fields[1], "ord": fields[2]}
     if len(fields) == 4 and fields[3] != "":
         row["comment"] = fields[3]
     return row
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+    """Write one sorted-key JSON object per line, replacing the file; returns the row count."""
+    count = 0
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
+            count += 1
+    return count
 
 
 def load_interactions(
@@ -238,47 +258,42 @@ def load_interactions(
     (JSONL rows may also carry an optional "title"). Histories are sorted by
     ordinal per user; users with fewer than 2 behaviors are dropped with a
     logged count. Malformed rows and duplicate (user, ordinal) pairs raise
-    ValueError naming the line.
+    ValueError naming the path and line.
     """
     path = Path(path)
     fmt = format or _infer_format(path)
     if fmt not in ("jsonl", "tsv"):
         raise ValueError(f"unknown interactions format {fmt!r}")
-    parse = _parse_jsonl_row if fmt == "jsonl" else _parse_tsv_row
 
     titles: dict[ItemId, str] = {}
     per_user: dict[UserId, dict[int, BehaviorRecord]] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            row = parse(line, lineno)
-            try:
-                user = str(row["user"])
-                item = str(row["item"])
-                ordinal = int(row["ord"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"line {lineno}: missing or malformed field ({exc})") from exc
-            if not user:
-                raise ValueError(f"line {lineno}: empty user id")
-            if not item:
-                raise ValueError(f"line {lineno}: empty item id")
-            comment = row.get("comment")
-            if comment is not None:
-                comment = str(comment)
-                if not comment.strip():
-                    comment = None
-            title = row.get("title")
-            if title:
-                titles[item] = str(title)
-            elif item not in titles:
-                titles[item] = item
-            records = per_user.setdefault(user, {})
-            if ordinal in records:
-                raise ValueError(
-                    f"line {lineno}: duplicate ordinal {ordinal} for user {user!r}"
-                )
-            records[ordinal] = BehaviorRecord(item=item, timestamp=ordinal, comment=comment)
+
+    def add(row: dict) -> None:
+        user = str(row["user"])
+        item = str(row["item"])
+        ordinal = int(row["ord"])
+        if not user:
+            raise ValueError("empty user id")
+        if not item:
+            raise ValueError("empty item id")
+        comment = row.get("comment")
+        if comment is not None:
+            comment = str(comment)
+            if not comment.strip():
+                comment = None
+        title = row.get("title")
+        if title:
+            titles[item] = str(title)
+        elif item not in titles:
+            titles[item] = item
+        records = per_user.setdefault(user, {})
+        if ordinal in records:
+            raise ValueError(f"duplicate ordinal {ordinal} for user {user!r}")
+        records[ordinal] = BehaviorRecord(item=item, timestamp=ordinal, comment=comment)
+
+    # add() runs inside iter_jsonl so that its errors name the path and line
+    for _ in iter_jsonl(path, add, _parse_jsonl_row if fmt == "jsonl" else _parse_tsv_row):
+        pass
 
     histories: list[UserHistory] = []
     dropped = 0
@@ -296,24 +311,25 @@ def load_interactions(
     return catalog, histories
 
 
+def _interaction_row(user: UserId, record: BehaviorRecord, item: Item | None) -> dict:
+    row: dict = {"user": user, "item": record.item, "ord": record.timestamp, "comment": record.comment}
+    if item is not None and item.title != item.id:
+        row["title"] = item.title
+    return row
+
+
 def save_interactions(
     path: str | Path, catalog: dict[ItemId, Item], histories: list[UserHistory]
 ) -> None:
     """Write histories back to interactions JSONL (round-trips with the loader)."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for history in histories:
-            for record in history.behaviors:
-                row: dict = {
-                    "user": history.user,
-                    "item": record.item,
-                    "ord": record.timestamp,
-                    "comment": record.comment,
-                }
-                item = catalog.get(record.item)
-                if item is not None and item.title != item.id:
-                    row["title"] = item.title
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(
+        path,
+        (
+            _interaction_row(history.user, record, catalog.get(record.item))
+            for history in histories
+            for record in history.behaviors
+        ),
+    )
 
 
 def attach_captions(catalog: dict[ItemId, Item], captions: str | Path) -> dict[ItemId, Item]:
@@ -345,16 +361,11 @@ def attach_captions(catalog: dict[ItemId, Item], captions: str | Path) -> dict[I
 
 def write_captions(catalog: dict[ItemId, Item], path: str | Path) -> int:
     """Write the catalog's enhanced captions as captions JSONL; returns row count."""
-    path = Path(path)
-    written = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for item_id in sorted(catalog):
-            item = catalog[item_id]
-            if item.enhanced_caption is None:
-                continue
-            handle.write(
-                json.dumps({"item": item_id, "caption": item.enhanced_caption}, sort_keys=True)
-                + "\n"
-            )
-            written += 1
-    return written
+    return write_jsonl(
+        path,
+        (
+            {"item": item_id, "caption": catalog[item_id].enhanced_caption}
+            for item_id in sorted(catalog)
+            if catalog[item_id].enhanced_caption is not None
+        ),
+    )

@@ -10,7 +10,6 @@ produce byte-identical prompts.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -28,6 +27,7 @@ from .core import (
     UserHistory,
     UserId,
     iter_jsonl,
+    write_jsonl,
 )
 
 # Shared response-format instructions; the task-specific goal is substituted in.
@@ -439,72 +439,66 @@ class SyntheticEpisodeSource:
 # ---------------------------------------------------------------------------
 
 
+def _episode_row(ep: Episode) -> dict:
+    row: dict = {
+        "user": ep.user,
+        "profile": ep.profile_text,
+        "prompt": ep.prompt,
+        "truth": ep.truth,
+    }
+    if isinstance(ep.task, Selection):
+        row["task"] = "selection"
+        row["m"] = ep.task.candidates.size - 1
+        row["rng_seed"] = ep.task.candidates.rng_seed
+        row["candidate_items"] = list(ep.task.candidates.presentation_order)
+        row["negatives"] = list(ep.task.candidates.negatives)
+        if ep.task.captions is not None:
+            row["candidate_captions"] = list(ep.task.captions)
+    else:
+        row["task"] = "judgment"
+        row["item"] = ep.task.item
+    return row
+
+
 def export_episodes(episodes: Iterable[Episode], path: str | Path) -> int:
     """Write episodes as JSONL for offline evaluation; returns the row count."""
-    path = Path(path)
-    count = 0
-    with path.open("w", encoding="utf-8") as handle:
-        for ep in episodes:
-            row: dict = {
-                "user": ep.user,
-                "profile": ep.profile_text,
-                "prompt": ep.prompt,
-                "truth": ep.truth,
-            }
-            if isinstance(ep.task, Selection):
-                row["task"] = "selection"
-                row["m"] = ep.task.candidates.size - 1
-                row["rng_seed"] = ep.task.candidates.rng_seed
-                row["candidate_items"] = list(ep.task.candidates.presentation_order)
-                row["negatives"] = list(ep.task.candidates.negatives)
-                if ep.task.captions is not None:
-                    row["candidate_captions"] = list(ep.task.captions)
-            else:
-                row["task"] = "judgment"
-                row["item"] = ep.task.item
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-            count += 1
-    return count
+    return write_jsonl(path, map(_episode_row, episodes))
+
+
+def _episode_from_row(row: dict) -> Episode:
+    if row["task"] == "selection":
+        order = tuple(row["candidate_items"])
+        truth = int(row["truth"])
+        positive = order[truth - 1]
+        if "negatives" in row:
+            negatives = tuple(row["negatives"])
+        else:
+            negatives = tuple(i for i in order if i != positive)
+        candidates = CandidateSet(
+            positive=positive,
+            negatives=negatives,
+            presentation_order=order,
+            rng_seed=int(row.get("rng_seed", 0)),
+        )
+        captions = row.get("candidate_captions")
+        task: TaskKind = Selection(
+            candidates=candidates,
+            captions=tuple(captions) if captions else None,
+        )
+    elif row["task"] == "judgment":
+        truth = str(row["truth"])
+        task = Judgment(item=row["item"], label=truth)
+    else:
+        raise ValueError(f"unknown task {row['task']!r}")
+    return Episode(
+        user=row["user"],
+        profile_text=row.get("profile", ""),
+        task=task,
+        prompt=row["prompt"],
+        truth=truth,
+    )
 
 
 def load_episodes(path: str | Path) -> list[Episode]:
     """Reload episodes exported by :func:`export_episodes`."""
-    episodes: list[Episode] = []
-    for lineno, row in iter_jsonl(path):
-        try:
-            if row["task"] == "selection":
-                order = tuple(row["candidate_items"])
-                truth = int(row["truth"])
-                positive = order[truth - 1]
-                if "negatives" in row:
-                    negatives = tuple(row["negatives"])
-                else:
-                    negatives = tuple(i for i in order if i != positive)
-                candidates = CandidateSet(
-                    positive=positive,
-                    negatives=negatives,
-                    presentation_order=order,
-                    rng_seed=int(row.get("rng_seed", 0)),
-                )
-                captions = row.get("candidate_captions")
-                task: TaskKind = Selection(
-                    candidates=candidates,
-                    captions=tuple(captions) if captions else None,
-                )
-            elif row["task"] == "judgment":
-                truth = str(row["truth"])
-                task = Judgment(item=row["item"], label=truth)
-            else:
-                raise ValueError(f"unknown task {row['task']!r}")
-            episodes.append(
-                Episode(
-                    user=row["user"],
-                    profile_text=row.get("profile", ""),
-                    task=task,
-                    prompt=row["prompt"],
-                    truth=truth,
-                )
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: malformed episode row ({exc})") from exc
-    return episodes
+    return [episode for _, episode in iter_jsonl(path, _episode_from_row)]

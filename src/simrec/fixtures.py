@@ -14,14 +14,13 @@ Regenerate the bundled dataset with::
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import save_interactions
+from .core import save_interactions, write_jsonl
 from .env import Episode, generate_synthetic_world
 from .ipagent import (
     DEFAULT_CAPTION_MODEL,
@@ -81,32 +80,30 @@ def write_synthetic_dataset(
     }
     save_interactions(paths["interactions"], catalog, histories)
 
-    with paths["features"].open("w", encoding="utf-8") as handle:
-        for item_id in sorted(catalog):
-            feature = catalog[item_id].feature
-            assert feature is not None
-            handle.write(
-                json.dumps({"item": item_id, "vec": list(feature)}, sort_keys=True) + "\n"
-            )
+    write_jsonl(
+        paths["features"],
+        ({"item": item_id, "vec": list(catalog[item_id].feature)} for item_id in sorted(catalog)),
+    )
 
     rng = np.random.default_rng(seed + 1)
     interacted = sorted({b.item for h in histories for b in h.behaviors})
-    with paths["frame_scores"].open("w", encoding="utf-8") as handle:
-        for item_id in interacted[:n_frame_items]:
-            frames = [
-                {
-                    "idx": idx,
-                    "ref": f"frames/{item_id}/{idx:02d}.jpg",
-                    "score": round(float(rng.uniform(0.05, 0.95)), 4),
-                }
-                for idx in range(10)
-            ]
-            handle.write(json.dumps({"item": item_id, "frames": frames}, sort_keys=True) + "\n")
+    frame_rows = []
+    for item_id in interacted[:n_frame_items]:
+        frames = [
+            {
+                "idx": idx,
+                "ref": f"frames/{item_id}/{idx:02d}.jpg",
+                "score": round(float(rng.uniform(0.05, 0.95)), 4),
+            }
+            for idx in range(10)
+        ]
+        frame_rows.append({"item": item_id, "frames": frames})
+    write_jsonl(paths["frame_scores"], frame_rows)
 
-    with paths["feedback"].open("w", encoding="utf-8") as handle:
-        for history in histories[:n_feedback_users]:
-            row = {"user": history.user, "item": history.target().item}
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(
+        paths["feedback"],
+        ({"user": h.user, "item": h.target().item} for h in histories[:n_feedback_users]),
+    )
     return paths
 
 

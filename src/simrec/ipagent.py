@@ -183,23 +183,17 @@ def run_ip_pipeline(
     )
 
 
+def _frame_scores_row(row: dict) -> FrameScores:
+    frames = tuple(
+        FrameScore(index=int(f["idx"]), ref=str(f["ref"]), score=float(f["score"]))
+        for f in row["frames"]
+    )
+    return FrameScores(item=str(row["item"]), frames=frames)
+
+
 def load_frame_scores(path: str | Path) -> dict[ItemId, FrameScores]:
     """Read frame-score JSONL: {"item": str, "frames": [{"idx","ref","score"}]}."""
-    scores: dict[ItemId, FrameScores] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                frames = tuple(
-                    FrameScore(index=int(f["idx"]), ref=str(f["ref"]), score=float(f["score"]))
-                    for f in row["frames"]
-                )
-                scores[str(row["item"])] = FrameScores(item=str(row["item"]), frames=frames)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"line {lineno}: malformed frame-score row ({exc})") from exc
-    return scores
+    return {scores.item: scores for _, scores in iter_jsonl(path, _frame_scores_row)}
 
 
 @dataclass
@@ -211,15 +205,16 @@ class BatchReport:
     failures: list[tuple[ItemId, str]] = field(default_factory=list)
 
 
+def _caption_row_item(row: dict) -> ItemId:
+    if "item" not in row:
+        raise ValueError("caption row has no 'item'")
+    return str(row["item"])
+
+
 def _existing_caption_items(path: Path) -> set[ItemId]:
-    done: set[ItemId] = set()
     if not path.exists():
-        return done
-    for lineno, row in iter_jsonl(path):
-        if "item" not in row:
-            raise ValueError(f"{path}: line {lineno}: caption row has no 'item'")
-        done.add(str(row["item"]))
-    return done
+        return set()
+    return {item_id for _, item_id in iter_jsonl(path, _caption_row_item)}
 
 
 def batch_augment(

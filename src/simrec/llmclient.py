@@ -240,6 +240,12 @@ class RecordingTransport(Transport):
         self.close()
 
 
+def _replay_pair(row: dict) -> tuple[str, dict]:
+    if "request" not in row or "response" not in row:
+        raise ValueError("replay row needs 'request' and 'response'")
+    return _canonical(row["request"]), row["response"]
+
+
 class ReplayTransport(Transport):
     """Serves recorded responses keyed by the exact request payload.
 
@@ -251,10 +257,8 @@ class ReplayTransport(Transport):
         self.path = Path(path)
         self._responses: dict[str, list[dict]] = {}
         self._lock = threading.Lock()
-        for lineno, row in iter_jsonl(self.path):
-            if "request" not in row or "response" not in row:
-                raise ValueError(f"{self.path}: line {lineno}: replay row needs 'request' and 'response'")
-            self._responses.setdefault(_canonical(row["request"]), []).append(row["response"])
+        for _, (key, response) in iter_jsonl(self.path, _replay_pair):
+            self._responses.setdefault(key, []).append(response)
 
     def send(self, payload: dict) -> dict:
         key = _canonical(payload)

@@ -12,7 +12,6 @@ plus the number of unseen items that beat the target.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from abc import ABC, abstractmethod
@@ -24,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BehaviorRecord, Item, ItemId, UserHistory, UserId
+from .core import BehaviorRecord, Item, ItemId, UserHistory, UserId, iter_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -212,6 +211,10 @@ def fit_embedding(
     return gen
 
 
+# model name -> fit function, for the CLI's --model choices
+GENERATORS = {"popularity": fit_popularity, "markov": fit_markov, "embedding": fit_embedding}
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -397,17 +400,11 @@ def augment_with_feedback(
 
 def load_feedback(path: str | Path) -> list[tuple[UserId, ItemId]]:
     """Read liked-feedback pairs from JSONL rows {"user": str, "item": str}."""
-    pairs: list[tuple[UserId, ItemId]] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                pairs.append((str(row["user"]), str(row["item"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"line {lineno}: malformed feedback row ({exc})") from exc
-    return pairs
+    return [pair for _, pair in iter_jsonl(path, lambda row: (str(row["user"]), str(row["item"])))]
+
+
+def _feature_row(row: dict) -> tuple[ItemId, tuple[float, ...]]:
+    return str(row["item"]), tuple(float(x) for x in row["vec"])
 
 
 def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[ItemId, Item]:
@@ -418,21 +415,11 @@ def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[It
     from dataclasses import replace
 
     path = Path(path)
-    vectors: dict[ItemId, tuple[float, ...]] = {}
     if path.suffix == ".npz":
         with np.load(path) as data:
-            for item_id in data.files:
-                vectors[item_id] = tuple(float(x) for x in data[item_id])
+            vectors = {item_id: tuple(float(x) for x in data[item_id]) for item_id in data.files}
     else:
-        with path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                    vectors[str(row["item"])] = tuple(float(x) for x in row["vec"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ValueError(f"line {lineno}: malformed feature row ({exc})") from exc
+        vectors = dict(pair for _, pair in iter_jsonl(path, _feature_row))
     updated = dict(catalog)
     unknown = 0
     for item_id, vec in vectors.items():

@@ -1,4 +1,3 @@
-import json
 from pathlib import Path
 
 import pytest
@@ -40,9 +39,3 @@ def small_world():
     )
     return world, catalog, histories, source
 
-
-def write_jsonl(path: Path, rows) -> Path:
-    with path.open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row) + "\n")
-    return path

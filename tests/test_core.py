@@ -1,7 +1,10 @@
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import DATA_DIR
 from simrec.core import (
     BehaviorRecord,
     CandidateSet,
@@ -11,14 +14,38 @@ from simrec.core import (
     load_interactions,
     save_interactions,
     word_count,
+    write_jsonl,
 )
-from conftest import write_jsonl
+from simrec.env import load_episodes
+from simrec.fixtures import write_synthetic_dataset
+from simrec.ipagent import load_frame_scores
+from simrec.llmclient import ReplayTransport
+from simrec.recommender import load_feedback, load_item_features
+
+
+@st.composite
+def interaction_sets(draw):
+    """A catalog and sorted per-user histories that the loader can reproduce."""
+    ids = st.text(min_size=1, max_size=6)
+    items = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+    catalog = {i: Item(id=i, title=draw(st.just(i) | st.text(min_size=1, max_size=8))) for i in items}
+    comments = st.none() | st.text(max_size=8).filter(str.strip)
+    histories = []
+    for user in sorted(draw(st.lists(ids, min_size=1, max_size=4, unique=True))):
+        ordinals = draw(st.lists(st.integers(-(10**12), 10**12), min_size=2, max_size=5, unique=True))
+        behaviors = tuple(
+            BehaviorRecord(item=draw(st.sampled_from(items)), timestamp=o, comment=draw(comments))
+            for o in sorted(ordinals)
+        )
+        histories.append(UserHistory(user=user, behaviors=behaviors))
+    return catalog, histories
 
 
 class TestLoadInteractions:
     def test_single_user_three_rows(self, tmp_path):
-        path = write_jsonl(
-            tmp_path / "x.jsonl",
+        path = tmp_path / "x.jsonl"
+        write_jsonl(
+            path,
             [
                 {"user": "u1", "item": "a", "ord": 1, "comment": None},
                 {"user": "u1", "item": "b", "ord": 2, "comment": "nice"},
@@ -33,15 +60,17 @@ class TestLoadInteractions:
         assert set(catalog) == {"a", "b", "c"}
 
     def test_single_row_user_dropped_with_count(self, tmp_path, caplog):
-        path = write_jsonl(tmp_path / "x.jsonl", [{"user": "u1", "item": "a", "ord": 1}])
+        path = tmp_path / "x.jsonl"
+        write_jsonl(path, [{"user": "u1", "item": "a", "ord": 1}])
         with caplog.at_level(logging.WARNING):
             _, histories = load_interactions(path)
         assert histories == []
         assert "dropped 1 user(s)" in caplog.text
 
     def test_empty_item_id_names_line(self, tmp_path):
-        path = write_jsonl(
-            tmp_path / "x.jsonl",
+        path = tmp_path / "x.jsonl"
+        write_jsonl(
+            path,
             [
                 {"user": "u1", "item": "a", "ord": 1},
                 {"user": "u1", "item": "", "ord": 2},
@@ -51,8 +80,9 @@ class TestLoadInteractions:
             load_interactions(path)
 
     def test_duplicate_ordinal_rejected(self, tmp_path):
-        path = write_jsonl(
-            tmp_path / "x.jsonl",
+        path = tmp_path / "x.jsonl"
+        write_jsonl(
+            path,
             [
                 {"user": "u1", "item": "a", "ord": 1},
                 {"user": "u1", "item": "b", "ord": 1},
@@ -68,8 +98,9 @@ class TestLoadInteractions:
             load_interactions(path)
 
     def test_rows_sorted_by_ordinal(self, tmp_path):
-        path = write_jsonl(
-            tmp_path / "x.jsonl",
+        path = tmp_path / "x.jsonl"
+        write_jsonl(
+            path,
             [
                 {"user": "u1", "item": "b", "ord": 5},
                 {"user": "u1", "item": "a", "ord": 1},
@@ -100,17 +131,29 @@ class TestLoadInteractions:
         assert histories2 == histories
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=interaction_sets())
+    def test_save_load_round_trip_property(self, tmp_path_factory, data):
+        catalog, histories = data
+        path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+        save_interactions(path, catalog, histories)
+        used = {b.item for h in histories for b in h.behaviors}
+        assert load_interactions(path) == ({i: catalog[i] for i in sorted(used)}, histories)
+
+
 class TestAttachCaptions:
     def test_known_item_gets_caption(self, tmp_path):
         catalog = {"a": Item(id="a", title="t")}
-        path = write_jsonl(tmp_path / "c.jsonl", [{"item": "a", "caption": "brisk story # tag"}])
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"item": "a", "caption": "brisk story # tag"}])
         updated = attach_captions(catalog, path)
         assert updated["a"].enhanced_caption == "brisk story # tag"
         assert catalog["a"].enhanced_caption is None  # input untouched
 
     def test_unknown_item_warns_catalog_unchanged(self, tmp_path, caplog):
         catalog = {"a": Item(id="a", title="t")}
-        path = write_jsonl(tmp_path / "c.jsonl", [{"item": "zz", "caption": "x"}])
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"item": "zz", "caption": "x"}])
         with caplog.at_level(logging.WARNING):
             updated = attach_captions(catalog, path)
         assert updated == catalog
@@ -118,7 +161,8 @@ class TestAttachCaptions:
 
     def test_empty_caption_rejected(self, tmp_path, caplog):
         catalog = {"a": Item(id="a", title="t")}
-        path = write_jsonl(tmp_path / "c.jsonl", [{"item": "a", "caption": "   "}])
+        path = tmp_path / "c.jsonl"
+        write_jsonl(path, [{"item": "a", "caption": "   "}])
         with caplog.at_level(logging.WARNING):
             updated = attach_captions(catalog, path)
         assert updated["a"].enhanced_caption is None
@@ -127,6 +171,57 @@ class TestAttachCaptions:
     def test_unreadable_file_errors(self):
         with pytest.raises(OSError):
             attach_captions({}, "does/not/exist.jsonl")
+
+
+# A good row, then a malformed one on line 2, for each reader.
+_MALFORMED = {
+    "interactions-jsonl": (
+        "x.jsonl",
+        load_interactions,
+        '{"user": "u1", "item": "a", "ord": 1}\n{"user": "u1", "item": "b"}\n',
+    ),
+    "interactions-tsv": ("x.tsv", load_interactions, "u1\ta\t1\nu1\tb\n"),
+    "item-features": (
+        "features.jsonl",
+        lambda path: load_item_features({}, path),
+        '{"item": "a", "vec": [1.0]}\n{"item": "b", "vec": ["x"]}\n',
+    ),
+    "feedback": ("feedback.jsonl", load_feedback, '{"user": "u1", "item": "a"}\n{"user": "u1"}\n'),
+    "frame-scores": (
+        "frame_scores.jsonl",
+        load_frame_scores,
+        '{"item": "a", "frames": [{"idx": 0, "ref": "r", "score": 0.5}]}\n'
+        '{"item": "b", "frames": [{"idx": 0}]}\n',
+    ),
+    "episodes": (
+        "episodes.jsonl",
+        load_episodes,
+        '{"task": "judgment", "user": "u", "item": "a", "truth": "like", "prompt": "p"}\n'
+        '{"task": "selection", "user": "u"}\n',
+    ),
+    "replay": (
+        "replay.jsonl",
+        ReplayTransport,
+        '{"request": {"model": "m"}, "response": {}}\n{"request": {"model": "m"}}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_every_reader_names_path_and_line(tmp_path, name):
+    filename, read, content = _MALFORMED[name]
+    path = tmp_path / filename
+    path.write_text(content)
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert f"{path}: line 2: " in str(info.value)
+
+
+def test_synthetic_dataset_regenerates_bundled_files(tmp_path):
+    paths = write_synthetic_dataset(tmp_path)
+    assert sorted(p.name for p in paths.values()) == sorted(p.name for p in DATA_DIR.iterdir())
+    for path in paths.values():
+        assert path.read_bytes() == (DATA_DIR / path.name).read_bytes(), path.name
 
 
 class TestTypes:

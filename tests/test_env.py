@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simrec.core import Judgment, Selection
+from simrec.core import CandidateSet, Judgment, Selection
 from simrec.env import (
+    Episode,
     EnvConfig,
     SyntheticEpisodeSource,
     build_candidate_set,
@@ -202,7 +205,33 @@ class TestSyntheticWorld:
             generate_synthetic_world(4, 30, 0, seed=0)
 
 
+_TEXT = st.text(max_size=12)
+
+
+@st.composite
+def episodes(draw):
+    user = draw(st.text(min_size=1, max_size=6))
+    if draw(st.booleans()):
+        label = draw(st.sampled_from(["like", "dislike"]))
+        task = Judgment(item=draw(st.text(min_size=1, max_size=6)), label=label)
+        return Episode(user, draw(_TEXT), task, draw(_TEXT), label)
+    order = tuple(draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True)))
+    positive = draw(st.sampled_from(order))
+    negatives = draw(st.permutations([i for i in order if i != positive]))
+    candidates = CandidateSet(positive, tuple(negatives), order, draw(st.integers(0, 2**63 - 1)))
+    captions = draw(st.none() | st.lists(_TEXT, min_size=len(order), max_size=len(order)).map(tuple))
+    task = Selection(candidates, captions)
+    return Episode(user, draw(_TEXT), task, draw(_TEXT), candidates.truth_index())
+
+
 class TestEpisodeExport:
+    @settings(max_examples=100, deadline=None)
+    @given(eps=st.lists(episodes(), max_size=4))
+    def test_export_load_round_trip_property(self, tmp_path_factory, eps):
+        path = tmp_path_factory.getbasetemp() / "episodes_round_trip.jsonl"
+        assert export_episodes(eps, path) == len(eps)
+        assert load_episodes(path) == eps
+
     def test_round_trip(self, small_world, tmp_path):
         _, _, _, source = small_world
         rng = np.random.default_rng(44)

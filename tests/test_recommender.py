@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from simrec.core import BehaviorRecord, Item, UserHistory
+from simrec.core import BehaviorRecord, Item, UserHistory, write_jsonl
+import simrec.recommender as recommender
 from simrec.recommender import (
     CandidateGenerator,
     PopularityGenerator,
@@ -24,7 +25,6 @@ from simrec.recommender import (
     ndcg_contribution,
     report_from_ranks,
 )
-from conftest import write_jsonl
 
 
 def history(user, items, start=1):
@@ -127,12 +127,7 @@ def fit_random(histories, catalog):
     return gen
 
 
-GENERATORS = {
-    "popularity": fit_popularity,
-    "markov": fit_markov,
-    "embedding": fit_embedding,
-    "random": fit_random,
-}
+GENERATORS = {**recommender.GENERATORS, "random": fit_random}
 
 
 @pytest.mark.parametrize("model", sorted(GENERATORS))
@@ -351,7 +346,8 @@ class TestAugmentWithFeedback:
 
 class TestFeatureAndFeedbackFiles:
     def test_load_feedback(self, tmp_path):
-        path = write_jsonl(tmp_path / "f.jsonl", [{"user": "u1", "item": "A"}])
+        path = tmp_path / "f.jsonl"
+        write_jsonl(path, [{"user": "u1", "item": "A"}])
         assert load_feedback(path) == [("u1", "A")]
 
     def test_load_feedback_malformed_names_line(self, tmp_path):
@@ -361,7 +357,8 @@ class TestFeatureAndFeedbackFiles:
             load_feedback(path)
 
     def test_load_item_features_jsonl(self, tmp_path):
-        path = write_jsonl(tmp_path / "v.jsonl", [{"item": "A", "vec": [0.5, -1.0]}])
+        path = tmp_path / "v.jsonl"
+        write_jsonl(path, [{"item": "A", "vec": [0.5, -1.0]}])
         catalog = load_item_features(catalog_of("A", "B"), path)
         assert catalog["A"].feature == (0.5, -1.0)
         assert catalog["B"].feature is None

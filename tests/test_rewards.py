@@ -1,7 +1,9 @@
-import random
+import itertools
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simrec.core import CandidateSet, Judgment, Selection
 from simrec.rewards import (
@@ -137,26 +139,46 @@ JUDGMENT_VALUES = {1.0, -1.0}
 SELECTION_VALUES = {2.0, -1.5, -2.0}
 
 
-def _random_transcripts(n, seed):
-    rng = random.Random(seed)
-    alphabet = string.ascii_letters + string.digits + " <>/"
-    fragments = ["<think>", "</think>", "<answer>", "</answer>", "Yes", "No", "3", "0", ""]
-    for _ in range(n):
-        parts = [rng.choice(fragments) for _ in range(rng.randrange(0, 6))]
-        noise = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 12)))
-        parts.insert(rng.randrange(0, len(parts) + 1), noise)
-        yield "".join(parts)
+_ALPHABET = string.ascii_letters + string.digits + " <>/"
+_FRAGMENTS = ["<think>", "</think>", "<answer>", "</answer>", "Yes", "No", "3", "0", ""]
 
 
-def test_fuzzed_rewards_stay_in_finite_sets():
-    selection = selection_task()
-    for i, raw in enumerate(_random_transcripts(100_000, seed=31)):
-        task = JUDGE if i % 2 == 0 else selection
-        truth = "like" if i % 2 == 0 else 2
+@st.composite
+def transcripts(draw):
+    """Up to five fragments or whole tag spans, with up to eleven noise characters spliced in.
+
+    The spans put answers inside well-formed tags, in either order, so every
+    row of the score tables is drawn often, not only by chance alignment.
+    """
+    fragment = st.sampled_from(_FRAGMENTS)
+    body = st.lists(fragment, max_size=3).map("".join)
+    span = st.builds("<{0}>{1}</{0}>".format, st.sampled_from(["think", "answer"]), body)
+    parts = draw(st.lists(fragment | span, max_size=5))
+    parts.insert(draw(st.integers(0, len(parts))), draw(st.text(alphabet=_ALPHABET, max_size=11)))
+    return "".join(parts)
+
+
+# Both judgment labels and every selection truth position, with their tables and total bounds.
+_TRUTHS = [(Judgment(item="v1", label=lab), lab, JUDGMENT_VALUES, 2.0) for lab in ("like", "dislike")]
+_TRUTHS += [(selection_task(truth_pos=pos), pos, SELECTION_VALUES, 3.0) for pos in range(1, 5)]
+
+
+def _assert_in_tables(raw):
+    for task, truth, task_values, bound in _TRUTHS:
         breakdown = total_reward(raw, task, truth)
         assert breakdown.r_format in FORMAT_VALUES
-        assert breakdown.r_task in (JUDGMENT_VALUES if i % 2 == 0 else SELECTION_VALUES)
-        if i % 2 == 0:
-            assert -2.0 <= breakdown.total <= 2.0
-        else:
-            assert -3.0 <= breakdown.total <= 3.0
+        assert breakdown.r_task in task_values
+        assert -bound <= breakdown.total <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=transcripts())
+def test_rewards_stay_in_finite_sets(raw):
+    _assert_in_tables(raw)
+
+
+def test_every_short_fragment_sequence_stays_in_finite_sets():
+    """Exhaustive where random draws are thin: every sequence of up to four non-empty fragments."""
+    for n in range(5):
+        for parts in itertools.product(_FRAGMENTS[:-1], repeat=n):
+            _assert_in_tables("".join(parts))
