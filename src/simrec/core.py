@@ -229,6 +229,25 @@ def iter_jsonl(
             yield lineno, value
 
 
+def read_jsonl_by_item(path: str | Path, convert: Callable[[dict], tuple[ItemId, Any]]) -> dict[ItemId, Any]:
+    """Read a one-row-per-item JSONL file into ``{item: value}``.
+
+    ``convert`` turns a row into ``(item, value)``. A repeated item is a
+    ValueError naming the path and line, like any malformed row.
+    """
+    by_item: dict[ItemId, Any] = {}
+
+    def add(row: dict) -> None:
+        item_id, value = convert(row)
+        if item_id in by_item:
+            raise ValueError(f"duplicate item {item_id!r}")
+        by_item[item_id] = value
+
+    for _ in iter_jsonl(path, add):
+        pass
+    return by_item
+
+
 def _parse_tsv_row(line: str) -> dict:
     fields = line.rstrip("\n").split("\t")
     if len(fields) not in (3, 4):
@@ -347,13 +366,13 @@ def attach_captions(catalog: dict[ItemId, Item], captions: str | Path) -> dict[I
         caption = row.get("caption")
         if item_id not in updated:
             unknown += 1
-            logger.warning("line %d: caption for unknown item %r", lineno, item_id)
+            logger.warning("%s: line %d: caption for unknown item %r", captions, lineno, item_id)
             continue
         try:
             updated[item_id] = replace(updated[item_id], enhanced_caption=caption)
         except (ValueError, TypeError) as exc:
             rejected += 1
-            logger.warning("line %d: rejected caption for %r (%s)", lineno, item_id, exc)
+            logger.warning("%s: line %d: rejected caption for %r (%s)", captions, lineno, item_id, exc)
     if unknown or rejected:
         logger.warning("attach_captions: %d unknown item(s), %d rejected row(s)", unknown, rejected)
     return updated

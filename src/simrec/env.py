@@ -233,6 +233,16 @@ def make_judgment_pair(
 # ---------------------------------------------------------------------------
 
 
+def pool_scores(item_vectors: np.ndarray, item_rows: Sequence[int], user_vector: np.ndarray) -> np.ndarray:
+    """Dot products of one user vector with the listed item rows.
+
+    Equal bit for bit to ``[float(user_vector @ item_vectors[j]) for j in item_rows]``:
+    ``np.vecdot``'s float64 loop is the same dot that a 1-D ``@`` runs, while a
+    ``matmul`` or ``einsum`` over the stacked rows differs in the last bit.
+    """
+    return np.vecdot(item_vectors[item_rows], user_vector)
+
+
 @dataclass
 class SyntheticWorld:
     """Vector-oracle users and items for desk-scale training.
@@ -269,10 +279,18 @@ class SyntheticWorld:
 
     def oracle_pick(self, user: UserId, pool: Sequence[ItemId], rng: np.random.Generator) -> ItemId:
         """The item the oracle user picks from a pool (argmax affinity + noise)."""
-        scores = np.array([self.affinity(user, item) for item in pool])
-        if self.noise > 0:
-            scores = scores + self.noise * rng.standard_normal(len(pool))
-        return pool[int(np.argmax(scores))]
+        rows = [self._item_index[item] for item in pool]
+        best, _ = self._oracle_choice(self._user_index[user], rows, rng)
+        return pool[best]
+
+    def _oracle_choice(
+        self, user_row: int, item_rows: Sequence[int], rng: np.random.Generator
+    ) -> tuple[int, float]:
+        """Position of the oracle's pick among ``item_rows`` and its noiseless affinity."""
+        scores = pool_scores(self.item_vectors, item_rows, self.user_vectors[user_row])
+        noisy = scores + self.noise * rng.standard_normal(len(scores)) if self.noise > 0 else scores
+        best = int(noisy.argmax())
+        return best, float(scores[best])
 
     def user_vector(self, user: UserId) -> np.ndarray:
         return self.user_vectors[self._user_index[user]]
@@ -295,8 +313,13 @@ def generate_synthetic_world(
 
     Each behavior is the oracle's pick from a fresh random pool of unwatched
     items; the pool behind the final (target) behavior is retained per user so
-    selection episodes can reuse it as the recall list. Reproducible from the
-    seed alone.
+    selection episodes can reuse it as the recall list.
+
+    The output is byte-stable for a seed: the random stream is drawn in a fixed
+    order (length, then per step the pool and, at noise > 0, the noise), and
+    pool scores must equal the per-pair dots ``user_vector @ item_vector``
+    exactly (:func:`pool_scores`), never a ``matmul``, whose last bits differ
+    and would flip picks and comments.
     """
     if n_users < 2 or n_items < 2:
         raise ValueError("need at least 2 users and 2 items")
@@ -331,27 +354,26 @@ def generate_synthetic_world(
     }
 
     histories: list[UserHistory] = []
-    for user in user_ids:
+    all_rows = list(range(n_items))
+    for user_row, user in enumerate(user_ids):
         length = int(rng.integers(span[0], span[1] + 1)) if span[0] != span[1] else span[0]
-        watched: list[ItemId] = []
-        remaining = list(item_ids)
+        behaviors: list[BehaviorRecord] = []
+        remaining = all_rows.copy()
         for step in range(length):
             pool_idx = rng.choice(len(remaining), size=min(pool_size, len(remaining)), replace=False)
             pool = [remaining[i] for i in pool_idx]
-            pick = world.oracle_pick(user, pool, rng)
+            best, score = world._oracle_choice(user_row, pool, rng)
             if step == length - 1:
-                world.final_pools[user] = tuple(pool)
-            watched.append(pick)
-            remaining.remove(pick)
-        behaviors = tuple(
-            BehaviorRecord(
-                item=item,
-                timestamp=t + 1,
-                comment="loved it" if world.affinity(user, item) > 1.0 else None,
+                world.final_pools[user] = tuple(item_ids[row] for row in pool)
+            behaviors.append(
+                BehaviorRecord(
+                    item=item_ids[pool[best]],
+                    timestamp=step + 1,
+                    comment="loved it" if score > 1.0 else None,
+                )
             )
-            for t, item in enumerate(watched)
-        )
-        histories.append(UserHistory(user=user, behaviors=behaviors))
+            del remaining[pool_idx[best]]
+        histories.append(UserHistory(user=user, behaviors=tuple(behaviors)))
     return world, catalog, histories
 
 

@@ -15,7 +15,15 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import CAPTION_TARGET_WORDS, CAPTION_WORD_LIMIT, Item, ItemId, iter_jsonl, word_count
+from .core import (
+    CAPTION_TARGET_WORDS,
+    CAPTION_WORD_LIMIT,
+    Item,
+    ItemId,
+    iter_jsonl,
+    read_jsonl_by_item,
+    word_count,
+)
 from .llmclient import (
     ChatMessage,
     ChatRequest,
@@ -183,17 +191,21 @@ def run_ip_pipeline(
     )
 
 
-def _frame_scores_row(row: dict) -> FrameScores:
+def _frame_scores_row(row: dict) -> tuple[ItemId, FrameScores]:
     frames = tuple(
         FrameScore(index=int(f["idx"]), ref=str(f["ref"]), score=float(f["score"]))
         for f in row["frames"]
     )
-    return FrameScores(item=str(row["item"]), frames=frames)
+    item_id = str(row["item"])
+    return item_id, FrameScores(item=item_id, frames=frames)
 
 
 def load_frame_scores(path: str | Path) -> dict[ItemId, FrameScores]:
-    """Read frame-score JSONL: {"item": str, "frames": [{"idx","ref","score"}]}."""
-    return {scores.item: scores for _, scores in iter_jsonl(path, _frame_scores_row)}
+    """Read frame-score JSONL: {"item": str, "frames": [{"idx","ref","score"}]}.
+
+    A repeated item is a ValueError naming the path and line.
+    """
+    return read_jsonl_by_item(path, _frame_scores_row)
 
 
 @dataclass

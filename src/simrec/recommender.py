@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import BehaviorRecord, Item, ItemId, UserHistory, UserId, iter_jsonl
+from .core import BehaviorRecord, Item, ItemId, UserHistory, UserId, iter_jsonl, read_jsonl_by_item
 
 logger = logging.getLogger(__name__)
 
@@ -410,7 +410,8 @@ def _feature_row(row: dict) -> tuple[ItemId, tuple[float, ...]]:
 def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[ItemId, Item]:
     """Attach feature vectors from a JSONL ({"item","vec"}) or .npz file.
 
-    Unknown items are skipped with a warning; returns a new catalog.
+    Unknown items are skipped with a warning, and a repeated JSONL item is a
+    ValueError naming the path and line; returns a new catalog.
     """
     from dataclasses import replace
 
@@ -419,7 +420,7 @@ def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[It
         with np.load(path) as data:
             vectors = {item_id: tuple(float(x) for x in data[item_id]) for item_id in data.files}
     else:
-        vectors = dict(pair for _, pair in iter_jsonl(path, _feature_row))
+        vectors = read_jsonl_by_item(path, _feature_row)
     updated = dict(catalog)
     unknown = 0
     for item_id, vec in vectors.items():

@@ -158,6 +158,7 @@ class TestAttachCaptions:
             updated = attach_captions(catalog, path)
         assert updated == catalog
         assert "1 unknown item(s)" in caplog.text
+        assert f"{path}: line 1: caption for unknown item 'zz'" in caplog.text
 
     def test_empty_caption_rejected(self, tmp_path, caplog):
         catalog = {"a": Item(id="a", title="t")}
@@ -166,7 +167,7 @@ class TestAttachCaptions:
         with caplog.at_level(logging.WARNING):
             updated = attach_captions(catalog, path)
         assert updated["a"].enhanced_caption is None
-        assert "rejected" in caplog.text
+        assert f"{path}: line 1: rejected caption for 'a'" in caplog.text
 
     def test_unreadable_file_errors(self):
         with pytest.raises(OSError):
@@ -186,12 +187,23 @@ _MALFORMED = {
         lambda path: load_item_features({}, path),
         '{"item": "a", "vec": [1.0]}\n{"item": "b", "vec": ["x"]}\n',
     ),
+    "item-features-duplicate": (
+        "features.jsonl",
+        lambda path: load_item_features({}, path),
+        '{"item": "a", "vec": [1.0]}\n{"item": "a", "vec": [2.0]}\n',
+    ),
     "feedback": ("feedback.jsonl", load_feedback, '{"user": "u1", "item": "a"}\n{"user": "u1"}\n'),
     "frame-scores": (
         "frame_scores.jsonl",
         load_frame_scores,
         '{"item": "a", "frames": [{"idx": 0, "ref": "r", "score": 0.5}]}\n'
         '{"item": "b", "frames": [{"idx": 0}]}\n',
+    ),
+    "frame-scores-duplicate": (
+        "frame_scores.jsonl",
+        load_frame_scores,
+        '{"item": "a", "frames": [{"idx": 0, "ref": "r", "score": 0.5}]}\n'
+        '{"item": "a", "frames": [{"idx": 0, "ref": "r", "score": 0.9}]}\n',
     ),
     "episodes": (
         "episodes.jsonl",
@@ -215,6 +227,8 @@ def test_every_reader_names_path_and_line(tmp_path, name):
     with pytest.raises(ValueError) as info:
         read(path)
     assert f"{path}: line 2: " in str(info.value)
+    if name.endswith("-duplicate"):
+        assert str(info.value) == f"{path}: line 2: duplicate item 'a'"
 
 
 def test_synthetic_dataset_regenerates_bundled_files(tmp_path):

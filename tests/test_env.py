@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from simrec.env import (
     load_episodes,
     make_episode,
     make_judgment_pair,
+    pool_scores,
 )
+from simrec.fixtures import write_synthetic_dataset
 from simrec.grpo import ToySoftmaxPolicy, evaluate_policy
 
 
@@ -55,17 +60,25 @@ class TestBuildCandidateSet:
         c = build_candidate_set(TOP10, "p", m=4, seed=78)
         assert a != c
 
-    def test_fuzzed_invariants(self):
-        rng = np.random.default_rng(42)
-        for _ in range(2000):
-            m = int(rng.integers(1, 9))
-            inside = bool(rng.integers(2))
-            positive = f"i{rng.integers(1, 11)}" if inside else "p"
-            cs = build_candidate_set(TOP10, positive, m=m, seed=int(rng.integers(2**32)))
-            assert cs.presentation_order.count(cs.positive) == 1
-            assert len(set(cs.negatives)) == m
-            assert cs.positive not in cs.negatives
-            assert sorted(cs.presentation_order) == sorted((cs.positive, *cs.negatives))
+    @settings(max_examples=500, deadline=None)
+    @given(
+        top=st.lists(
+            st.sampled_from([f"i{n}" for n in range(1, 21)]), min_size=2, max_size=12, unique=True
+        ),
+        inside=st.booleans(),
+        data=st.data(),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_invariants(self, top, inside, data, seed):
+        positive = data.draw(st.sampled_from(top)) if inside else "p"
+        eligible = [i for i in top if i != positive]
+        m = data.draw(st.integers(1, len(eligible)))
+        cs = build_candidate_set(top, positive, m=m, seed=seed)
+        assert cs.presentation_order.count(cs.positive) == 1
+        assert len(set(cs.negatives)) == m
+        assert cs.positive not in cs.negatives
+        assert sorted(cs.presentation_order) == sorted((cs.positive, *cs.negatives))
+        assert set(cs.negatives) <= set(eligible)
 
     def test_positive_position_roughly_uniform(self):
         counts = np.zeros(5)
@@ -197,6 +210,48 @@ class TestSyntheticWorld:
         for episode in episodes[:50]:
             expected = "like" if world.likes(episode.user, episode.task.item) else "dislike"
             assert episode.truth == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(1, 80),
+        n_items=st.integers(1, 40),
+        pool_size=st.integers(1, 40),
+        stride=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_scores_equal_per_pair_dots(self, dim, n_items, pool_size, stride, seed):
+        rng = np.random.default_rng(seed)
+        # stride > 1 makes every item row and the user vector non-contiguous
+        iv = rng.standard_normal((n_items, dim * stride))[:, ::stride]
+        u = rng.standard_normal(dim * stride)[::stride]
+        pool = rng.choice(n_items, size=min(pool_size, n_items), replace=False).tolist()
+        reference = [float(u @ iv[j]) for j in pool]
+        assert pool_scores(iv, pool, u).tolist() == reference
+
+    def test_seeded_outputs_are_pinned(self, tmp_path):
+        """Byte-level pins of a benchmark-sized dataset and a noisy world."""
+        paths = write_synthetic_dataset(
+            tmp_path, seed=1, n_users=2000, n_items=5000, history_length=(4, 10)
+        )
+        digests = {
+            name: hashlib.sha256(paths[name].read_bytes()).hexdigest()
+            for name in ("interactions", "features")
+        }
+        assert digests == {
+            "interactions": "acdb85f3a571ac4973ee55bf4fe3fbf6e5e36066f72dcb440bbac50e082ea89f",
+            "features": "007b81dbd199121b386dabc37ff1730b2ccb218213853134dd510f2a59b7c7f5",
+        }
+        world, _, histories = generate_synthetic_world(
+            300, 800, 8, seed=3, history_length=(4, 10), noise=0.3
+        )
+        payload = {
+            "histories": [
+                [h.user, [[b.item, b.timestamp, b.comment] for b in h.behaviors]] for h in histories
+            ],
+            "final_pools": sorted([u, list(p)] for u, p in world.final_pools.items()),
+        }
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == "2522b08901bddd8dea62eb7b18d93a19d6bc8dc3d9463de65f78b300900de4c4"
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):
