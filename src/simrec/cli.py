@@ -249,7 +249,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
             transport,
             captions_path,
             model=resolved["model"],
-            parallelism=resolved["parallelism"],
+            parallelism=cfg.max_in_flight,
         )
     _write_json(out / "failures.json", [{"item": i, "stage": s} for i, s in report.failures])
     _write_manifest(out, "augment", resolved, [interactions, frame_scores])
@@ -549,7 +549,6 @@ _COMMANDS = {
         *_paths("interactions", "frame_scores"),
         *_ENDPOINT,
         _Option("model", default=DEFAULT_CAPTION_MODEL, help=_MODEL_HELP),
-        _Option("parallelism", int, 1),
     )),
     "eval-rec": ("leave-one-out ranking metrics", cmd_eval_rec, (
         *_paths("interactions", "captions", "features"),

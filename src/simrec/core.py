@@ -186,12 +186,6 @@ TaskKind = Judgment | Selection
 # ---------------------------------------------------------------------------
 
 
-def _infer_format(path: Path) -> str:
-    if path.suffix == ".tsv":
-        return "tsv"
-    return "jsonl"
-
-
 def _parse_jsonl_row(line: str) -> dict:
     try:
         row = json.loads(line)
@@ -268,22 +262,17 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     return count
 
 
-def load_interactions(
-    path: str | Path, format: str | None = None
-) -> tuple[dict[ItemId, Item], list[UserHistory]]:
+def load_interactions(path: str | Path) -> tuple[dict[ItemId, Item], list[UserHistory]]:
     """Load an interactions file into a catalog and per-user histories.
 
     Rows carry user id, item id, integer ordinal, and an optional comment
-    (JSONL rows may also carry an optional "title"). Histories are sorted by
+    (JSONL rows may also carry an optional "title"); a ``.tsv`` path is read
+    as tab-separated fields, any other path as JSONL. Histories are sorted by
     ordinal per user; users with fewer than 2 behaviors are dropped with a
     logged count. Malformed rows and duplicate (user, ordinal) pairs raise
     ValueError naming the path and line.
     """
     path = Path(path)
-    fmt = format or _infer_format(path)
-    if fmt not in ("jsonl", "tsv"):
-        raise ValueError(f"unknown interactions format {fmt!r}")
-
     titles: dict[ItemId, str] = {}
     per_user: dict[UserId, dict[int, BehaviorRecord]] = {}
 
@@ -311,7 +300,7 @@ def load_interactions(
         records[ordinal] = BehaviorRecord(item=item, timestamp=ordinal, comment=comment)
 
     # add() runs inside iter_jsonl so that its errors name the path and line
-    for _ in iter_jsonl(path, add, _parse_jsonl_row if fmt == "jsonl" else _parse_tsv_row):
+    for _ in iter_jsonl(path, add, _parse_tsv_row if path.suffix == ".tsv" else _parse_jsonl_row):
         pass
 
     histories: list[UserHistory] = []
@@ -376,15 +365,3 @@ def attach_captions(catalog: dict[ItemId, Item], captions: str | Path) -> dict[I
     if unknown or rejected:
         logger.warning("attach_captions: %d unknown item(s), %d rejected row(s)", unknown, rejected)
     return updated
-
-
-def write_captions(catalog: dict[ItemId, Item], path: str | Path) -> int:
-    """Write the catalog's enhanced captions as captions JSONL; returns row count."""
-    return write_jsonl(
-        path,
-        (
-            {"item": item_id, "caption": catalog[item_id].enhanced_caption}
-            for item_id in sorted(catalog)
-            if catalog[item_id].enhanced_caption is not None
-        ),
-    )

@@ -66,23 +66,22 @@ class EnvConfig:
 
 @dataclass(frozen=True)
 class Episode:
-    """One fully rendered task instance for a user."""
+    """One fully rendered task instance for a user.
+
+    ``truth`` is derived from the task, never stored: a judgment's label, or
+    the positive's 1-based position in a selection's presentation order.
+    """
 
     user: UserId
     profile_text: str
     task: TaskKind
     prompt: str
-    truth: str | int
 
-    def __post_init__(self) -> None:
+    @property
+    def truth(self) -> str | int:
         if isinstance(self.task, Judgment):
-            if self.truth != self.task.label:
-                raise ValueError("judgment truth must equal the task label")
-        elif isinstance(self.task, Selection):
-            if self.truth != self.task.candidates.truth_index():
-                raise ValueError("selection truth must be the positive's 1-based position")
-        else:
-            raise TypeError(f"unknown task kind: {self.task!r}")
+            return self.task.label
+        return self.task.candidates.truth_index()
 
 
 def derive_seed(root: int, *parts: object) -> int:
@@ -154,6 +153,19 @@ def judgment_prompt(history_str: str, item_str: str) -> str:
     )
 
 
+def _selection(catalog: dict[ItemId, Item], candidates: CandidateSet) -> Selection:
+    return Selection(candidates=candidates, captions=render_candidates(catalog, candidates))
+
+
+def _episode(user: UserId, profile_text: str, task: TaskKind, catalog: dict[ItemId, Item]) -> Episode:
+    """Render the task's prompt; the one place an episode is built from parts."""
+    if isinstance(task, Selection):
+        prompt = selection_prompt(profile_text, task.captions)
+    else:
+        prompt = judgment_prompt(profile_text, _display(catalog, task.item))
+    return Episode(user=user, profile_text=profile_text, task=task, prompt=prompt)
+
+
 def make_episode(
     history: UserHistory,
     catalog: dict[ItemId, Item],
@@ -176,32 +188,18 @@ def make_episode(
     target = history.target()
     ep_seed = derive_seed(cfg.seed, history.user, kind)
 
+    task: TaskKind
     if kind == "selection":
         if candidate_generator is None:
             raise ValueError("selection episodes require a candidate generator")
         top = candidate_generator.top_k(history.training_view(), cfg.top_k)
-        candidates = build_candidate_set(top, target.item, cfg.m, ep_seed)
-        captions = render_candidates(catalog, candidates)
-        task = Selection(candidates=candidates, captions=captions)
-        return Episode(
-            user=history.user,
-            profile_text=profile_text,
-            task=task,
-            prompt=selection_prompt(profile_text, captions),
-            truth=candidates.truth_index(),
-        )
-    if kind == "judgment":
-        item_id = judged_item if judged_item is not None else target.item
-        label = judged_label if judged_label is not None else "like"
-        task = Judgment(item=item_id, label=label)
-        return Episode(
-            user=history.user,
-            profile_text=profile_text,
-            task=task,
-            prompt=judgment_prompt(profile_text, _display(catalog, item_id)),
-            truth=label,
-        )
-    raise ValueError(f"unknown episode kind {kind!r}")
+        task = _selection(catalog, build_candidate_set(top, target.item, cfg.m, ep_seed))
+    elif kind == "judgment":
+        item = target.item if judged_item is None else judged_item
+        task = Judgment(item=item, label="like" if judged_label is None else judged_label)
+    else:
+        raise ValueError(f"unknown episode kind {kind!r}")
+    return _episode(history.user, profile_text, task, catalog)
 
 
 def make_judgment_pair(
@@ -405,35 +403,24 @@ class SyntheticEpisodeSource:
         user = self._users[int(rng.integers(len(self._users)))]
         history = self._histories[user]
         profile_text = render_history(self.catalog, history.profile())
+        task: TaskKind
         if kind == "selection":
-            return self._selection_episode(user, profile_text, rng)
-        if kind == "judgment":
-            return self._judgment_episode(user, profile_text, rng)
-        raise ValueError(f"unknown episode kind {kind!r}")
+            task = self._selection_task(user, rng)
+        elif kind == "judgment":
+            task = self._judgment_task(user, rng)
+        else:
+            raise ValueError(f"unknown episode kind {kind!r}")
+        return _episode(user, profile_text, task, self.catalog)
 
-    def _selection_episode(
-        self, user: UserId, profile_text: str, rng: np.random.Generator
-    ) -> Episode:
+    def _selection_task(self, user: UserId, rng: np.random.Generator) -> Selection:
         items = self.world.item_ids
         pool_idx = rng.choice(len(items), size=self.pool_size, replace=False)
         pool = [items[i] for i in pool_idx]
         positive = self.world.oracle_pick(user, pool, rng)
-        candidates = build_candidate_set(
-            pool, positive, self.cfg.m, seed=int(rng.integers(2**63 - 1))
-        )
-        captions = render_candidates(self.catalog, candidates)
-        task = Selection(candidates=candidates, captions=captions)
-        return Episode(
-            user=user,
-            profile_text=profile_text,
-            task=task,
-            prompt=selection_prompt(profile_text, captions),
-            truth=candidates.truth_index(),
-        )
+        seed = int(rng.integers(2**63 - 1))
+        return _selection(self.catalog, build_candidate_set(pool, positive, self.cfg.m, seed))
 
-    def _judgment_episode(
-        self, user: UserId, profile_text: str, rng: np.random.Generator
-    ) -> Episode:
+    def _judgment_task(self, user: UserId, rng: np.random.Generator) -> Judgment:
         want_like = bool(rng.integers(2))
         items = self.world.item_ids
         item = None
@@ -445,15 +432,7 @@ class SyntheticEpisodeSource:
         if item is None:  # degenerate threshold; fall back to any item
             item = items[int(rng.integers(len(items)))]
             want_like = self.world.likes(user, item)
-        label = "like" if want_like else "dislike"
-        task = Judgment(item=item, label=label)
-        return Episode(
-            user=user,
-            profile_text=profile_text,
-            task=task,
-            prompt=judgment_prompt(profile_text, _display(self.catalog, item)),
-            truth=label,
-        )
+        return Judgment(item=item, label="like" if want_like else "dislike")
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +441,7 @@ class SyntheticEpisodeSource:
 
 
 def _episode_row(ep: Episode) -> dict:
-    row: dict = {
-        "user": ep.user,
-        "profile": ep.profile_text,
-        "prompt": ep.prompt,
-        "truth": ep.truth,
-    }
+    row: dict = {"user": ep.user, "profile": ep.profile_text, "prompt": ep.prompt, "truth": ep.truth}
     if isinstance(ep.task, Selection):
         row["task"] = "selection"
         row["m"] = ep.task.candidates.size - 1
@@ -488,37 +462,25 @@ def export_episodes(episodes: Iterable[Episode], path: str | Path) -> int:
 
 
 def _episode_from_row(row: dict) -> Episode:
+    task: TaskKind
     if row["task"] == "selection":
         order = tuple(row["candidate_items"])
         truth = int(row["truth"])
-        positive = order[truth - 1]
-        if "negatives" in row:
-            negatives = tuple(row["negatives"])
-        else:
-            negatives = tuple(i for i in order if i != positive)
+        if not 1 <= truth <= len(order):
+            raise ValueError(f"selection truth {truth} is not a candidate position")
         candidates = CandidateSet(
-            positive=positive,
-            negatives=negatives,
+            positive=order[truth - 1],
+            negatives=tuple(row["negatives"]),
             presentation_order=order,
-            rng_seed=int(row.get("rng_seed", 0)),
+            rng_seed=int(row["rng_seed"]),
         )
         captions = row.get("candidate_captions")
-        task: TaskKind = Selection(
-            candidates=candidates,
-            captions=tuple(captions) if captions else None,
-        )
+        task = Selection(candidates=candidates, captions=tuple(captions) if captions else None)
     elif row["task"] == "judgment":
-        truth = str(row["truth"])
-        task = Judgment(item=row["item"], label=truth)
+        task = Judgment(item=row["item"], label=str(row["truth"]))
     else:
         raise ValueError(f"unknown task {row['task']!r}")
-    return Episode(
-        user=row["user"],
-        profile_text=row.get("profile", ""),
-        task=task,
-        prompt=row["prompt"],
-        truth=truth,
-    )
+    return Episode(user=row["user"], profile_text=row["profile"], task=task, prompt=row["prompt"])
 
 
 def load_episodes(path: str | Path) -> list[Episode]:

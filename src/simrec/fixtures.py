@@ -112,22 +112,19 @@ def write_synthetic_dataset(
 # ---------------------------------------------------------------------------
 
 
-def _last_user_text(payload: dict) -> str:
-    for message in reversed(payload["messages"]):
-        if message["role"] == "user":
-            content = message["content"]
-            if isinstance(content, str):
-                return content
-            return next(p["text"] for p in content if p.get("type") == "text")
-    raise ValueError("payload has no user message")
-
-
-def _first_user_text(payload: dict) -> str:
-    message = payload["messages"][0]
+def _message_text(message: dict) -> str:
+    """A message's text, whether its content is a string or a list of parts."""
     content = message["content"]
     if isinstance(content, str):
         return content
     return next(p["text"] for p in content if p.get("type") == "text")
+
+
+def _last_user_text(payload: dict) -> str:
+    for message in reversed(payload["messages"]):
+        if message["role"] == "user":
+            return _message_text(message)
+    raise ValueError("payload has no user message")
 
 
 def _transcript(answer: str, status: str = "steady viewing habits") -> str:
@@ -170,7 +167,7 @@ def make_caption_responder(long_first_summary: bool = False) -> Callable[[dict],
 
     def responder(payload: dict) -> dict:
         prompt = _last_user_text(payload)
-        match = _TITLE_RE.search(_first_user_text(payload))
+        match = _TITLE_RE.search(_message_text(payload["messages"][0]))
         title = match.group(1) if match else "the video"
         if prompt.startswith(FOCUS_PROMPT[:40]):
             return text_response(f"The frames stay close to {title}, with steady pacing.")

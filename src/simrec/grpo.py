@@ -319,12 +319,13 @@ def train(
             else:
                 kind = task
             episode = source.sample(rng, kind)
+            truth = episode.truth
 
             logp = policy.log_probs(episode)
             # One draw for the group reads the same stream as G single draws.
             actions = rng.choice(len(logp), size=cfg.group_size, p=np.exp(logp))
             rewards = np.array(
-                [total_reward(render_action(episode, a), episode.task, episode.truth).total for a in actions]
+                [total_reward(render_action(episode, a), episode.task, truth).total for a in actions]
             )
             group = RolloutGroup(
                 actions=actions,

@@ -79,6 +79,18 @@ class TestAugmentCommand:
         )
         assert code == 2
 
+    def test_in_flight_below_one_exits_2(self, tmp_path, capsys):
+        code = run(
+            "augment",
+            "--interactions", DATA_DIR / "interactions.jsonl",
+            "--frame-scores", DATA_DIR / "frame_scores.jsonl",
+            "--replay", tmp_path / "r.jsonl",
+            "--in-flight", 0,
+            "--out", tmp_path / "run",
+        )
+        assert code == 2
+        assert "max_in_flight must be at least 1" in capsys.readouterr().err
+
     def test_resume_skips_existing(self, tmp_path, capsys):
         replay = tmp_path / "replay.jsonl"
         out = tmp_path / "run"
@@ -519,9 +531,9 @@ ENDPOINT_DEFAULTS = {"endpoint": None, "record": None, "timeout": 30.0, "retries
     [
         pytest.param(
             ["augment", "--interactions", "{interactions}", "--frame-scores", "{frame_scores}",
-             "--replay", "{caption_replay}", "--parallelism", 2],
+             "--replay", "{caption_replay}", "--in-flight", 2],
             {**ENDPOINT_DEFAULTS, "interactions": "{interactions}", "frame_scores": "{frame_scores}",
-             "replay": "{caption_replay}", "model": "item-perception", "parallelism": 2},
+             "replay": "{caption_replay}", "model": "item-perception", "in_flight": 2},
             id="augment",
         ),
         pytest.param(

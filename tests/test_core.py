@@ -1,3 +1,4 @@
+import json
 import logging
 
 import pytest
@@ -112,7 +113,7 @@ class TestLoadInteractions:
     def test_tsv_format(self, tmp_path):
         path = tmp_path / "x.tsv"
         path.write_text("u1\ta\t1\t\nu1\tb\t2\tgreat watch\n")
-        catalog, histories = load_interactions(path, format="tsv")
+        catalog, histories = load_interactions(path)
         assert histories[0].behaviors[0].comment is None
         assert histories[0].behaviors[1].comment == "great watch"
 
@@ -208,7 +209,7 @@ _MALFORMED = {
     "episodes": (
         "episodes.jsonl",
         load_episodes,
-        '{"task": "judgment", "user": "u", "item": "a", "truth": "like", "prompt": "p"}\n'
+        '{"task": "judgment", "user": "u", "item": "a", "truth": "like", "prompt": "p", "profile": ""}\n'
         '{"task": "selection", "user": "u"}\n',
     ),
     "replay": (
@@ -229,6 +230,35 @@ def test_every_reader_names_path_and_line(tmp_path, name):
     assert f"{path}: line 2: " in str(info.value)
     if name.endswith("-duplicate"):
         assert str(info.value) == f"{path}: line 2: duplicate item 'a'"
+
+
+_SELECTION_ROW = {
+    "task": "selection",
+    "user": "u",
+    "profile": "",
+    "prompt": "p",
+    "truth": 2,
+    "candidate_items": ["b", "a"],
+    "negatives": ["b"],
+    "rng_seed": 3,
+}
+
+
+@pytest.mark.parametrize("field", ["negatives", "rng_seed", "profile"])
+def test_episode_row_without_required_field_names_it(tmp_path, field):
+    row = {key: value for key, value in _SELECTION_ROW.items() if key != field}
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(_SELECTION_ROW) + "\n" + json.dumps(row) + "\n")
+    with pytest.raises(ValueError) as info:
+        load_episodes(path)
+    assert str(info.value) == f"{path}: line 2: missing field '{field}'"
+
+
+def test_episode_row_truth_outside_candidates_rejected(tmp_path):
+    path = tmp_path / "episodes.jsonl"
+    path.write_text(json.dumps(_SELECTION_ROW | {"truth": 0}) + "\n")
+    with pytest.raises(ValueError, match="line 1: selection truth 0 is not a candidate position"):
+        load_episodes(path)
 
 
 def test_synthetic_dataset_regenerates_bundled_files(tmp_path):
@@ -277,17 +307,3 @@ class TestTypes:
 
     def test_word_count_splits_on_whitespace(self):
         assert word_count("a tight story # thriller movie") == 6
-
-
-def test_format_override_beats_suffix(tmp_path):
-    path = tmp_path / "data.txt"
-    path.write_text("u1\ta\t1\t\nu1\tb\t2\t\n")
-    _, histories = load_interactions(path, format="tsv")
-    assert histories[0].item_ids() == ("a", "b")
-
-
-def test_unknown_format_rejected(tmp_path):
-    path = tmp_path / "data.jsonl"
-    path.write_text("{}")
-    with pytest.raises(ValueError, match="format"):
-        load_interactions(path, format="csv")

@@ -21,6 +21,7 @@ from simrec.env import (
 )
 from simrec.fixtures import write_synthetic_dataset
 from simrec.grpo import ToySoftmaxPolicy, evaluate_policy
+from simrec.recommender import fit_markov
 
 
 class FixedTopK:
@@ -269,14 +270,14 @@ def episodes(draw):
     if draw(st.booleans()):
         label = draw(st.sampled_from(["like", "dislike"]))
         task = Judgment(item=draw(st.text(min_size=1, max_size=6)), label=label)
-        return Episode(user, draw(_TEXT), task, draw(_TEXT), label)
+        return Episode(user, draw(_TEXT), task, draw(_TEXT))
     order = tuple(draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True)))
     positive = draw(st.sampled_from(order))
     negatives = draw(st.permutations([i for i in order if i != positive]))
     candidates = CandidateSet(positive, tuple(negatives), order, draw(st.integers(0, 2**63 - 1)))
     captions = draw(st.none() | st.lists(_TEXT, min_size=len(order), max_size=len(order)).map(tuple))
     task = Selection(candidates, captions)
-    return Episode(user, draw(_TEXT), task, draw(_TEXT), candidates.truth_index())
+    return Episode(user, draw(_TEXT), task, draw(_TEXT))
 
 
 class TestEpisodeExport:
@@ -296,6 +297,30 @@ class TestEpisodeExport:
         assert export_episodes(episodes, path) == 16
         loaded = load_episodes(path)
         assert loaded == episodes
+
+    def test_export_bytes_are_pinned(self, bundled_catalog_histories, tmp_path):
+        """All four episode paths, exported: selection and judgment pairs from a
+        Markov recall on the bundled data, then an interleaved synthetic stream."""
+        catalog, histories = bundled_catalog_histories
+        recall = fit_markov([h.training_view() for h in histories], catalog)
+        cfg = EnvConfig(top_k=10, m=3, seed=7)
+        episodes = []
+        for history in histories:
+            episodes.append(make_episode(history, catalog, "selection", cfg, recall))
+            episodes.extend(make_judgment_pair(history, catalog, cfg, recall))
+        world, world_catalog, world_histories = generate_synthetic_world(
+            12, 60, 4, seed=5, history_length=5, pool_size=8
+        )
+        source = SyntheticEpisodeSource(
+            world, world_catalog, world_histories, EnvConfig(top_k=8, m=3, seed=2), pool_size=8
+        )
+        rng = np.random.default_rng(8)
+        episodes += [source.sample(rng, kind) for kind in ["selection", "judgment"] * 300]
+        path = tmp_path / "episodes.jsonl"
+        assert export_episodes(episodes, path) == 750
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "539ec8f2951b59d4950cc2a8fcc38bca2396e7e08168e7ae812380087081dbf7"
+        assert load_episodes(path) == episodes
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "episodes.jsonl"
