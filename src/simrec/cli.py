@@ -7,9 +7,9 @@ grouped policy optimization), and ``rerank`` (before/after metrics around
 feedback augmentation).
 
 Every command resolves its settings as defaults < --config JSON < explicit
-flags (``train-toy`` reads its --world-spec file between the two), writes the
-resolved config plus input-file digests into ``<out>/manifest.json``, and
-exits 0 on success, 2 on usage/input errors, and 1 on internal errors.
+flags, writes the resolved config plus input-file digests into
+``<out>/manifest.json``, and exits 0 on success, 2 on usage/input errors, and
+1 on internal errors.
 
 Each command's settings are declared once, in ``_COMMANDS``: the table builds
 the argparse sub-parsers and the defaults, and checks every value read from a
@@ -129,19 +129,19 @@ def _require_file(path_str: str | None, what: str) -> Path:
     return path
 
 
-def _read_json_object(path_str: str, what: str) -> dict:
-    path = _require_file(path_str, f"{what} file")
+def _read_json_object(path_str: str) -> dict:
+    path = _require_file(path_str, "config file")
     try:
         value = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
-        raise InputError(f"{what} file {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
-        raise InputError(f"{what} file {path} must hold a JSON object")
+        raise InputError(f"config file {path} must hold a JSON object")
     return value
 
 
-def _typed(option: _Option, value: object, what: str) -> object:
-    """A value read from a JSON file, checked against its option."""
+def _typed(option: _Option, value: object) -> object:
+    """A value read from the config file, checked against its option."""
     if value is None and option.default is None:
         return None
     if option.type is float and type(value) is int:
@@ -153,35 +153,33 @@ def _typed(option: _Option, value: object, what: str) -> object:
     else:
         ok = type(value) is option.type  # so a bool is not an int
     if not ok:
-        raise InputError(f"{what} key {option.name!r} must be {_TYPE_NAMES[option.type]}, got {value!r}")
+        raise InputError(f"config key {option.name!r} must be {_TYPE_NAMES[option.type]}, got {value!r}")
     if option.choices and value not in option.choices:
-        raise InputError(f"{what} key {option.name!r} must be one of {list(option.choices)}, got {value!r}")
+        raise InputError(f"config key {option.name!r} must be one of {list(option.choices)}, got {value!r}")
     return tuple(value) if type(value) is list else value
 
 
-def _checked(values: dict, options: tuple[_Option, ...], what: str) -> dict:
+def _checked(values: dict, options: tuple[_Option, ...]) -> dict:
     by_name = {option.name: option for option in options}
     unknown = set(values) - set(by_name)
     if unknown:
-        raise InputError(f"unknown {what} keys: {sorted(unknown)}")
-    return {key: _typed(by_name[key], value, what) for key, value in values.items()}
-
-
-def _flags(args: argparse.Namespace, options: tuple[_Option, ...]) -> dict:
-    return {o.name: getattr(args, o.name) for o in options if o.flag and getattr(args, o.name) is not None}
+        raise InputError(f"unknown config keys: {sorted(unknown)}")
+    return {key: _typed(by_name[key], value) for key, value in values.items()}
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults < --config file < explicit flags."""
     resolved = {option.name: option.default for option in args.options}
     if args.config:
-        file_cfg = _read_json_object(args.config, "config")
+        file_cfg = _read_json_object(args.config)
         manifest_keys = {"command", "config", "inputs", "version"}
         if set(file_cfg) == manifest_keys and isinstance(file_cfg["config"], dict):
             # a manifest from a previous run reruns with its resolved config
             file_cfg = file_cfg["config"]
-        resolved.update(_checked(file_cfg, args.options, "config"))
-    resolved.update(_flags(args, args.options))
+        resolved.update(_checked(file_cfg, args.options))
+    for option in args.options:
+        if option.flag and getattr(args, option.name) is not None:
+            resolved[option.name] = getattr(args, option.name)
     return resolved
 
 
@@ -394,19 +392,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_train_toy(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     out = _out_dir(resolved)
-    inputs = []
-    if resolved["world_spec"]:
-        spec = _read_json_object(resolved["world_spec"], "world-spec")
-        resolved.update(_checked(spec, _WORLD, "world-spec"))
-        resolved.update(_flags(args, _WORLD))  # an explicit --m still wins
-        inputs.append(resolved["world_spec"])
-
-    grpo_kwargs: dict = {}
-    if resolved["grpo_config"]:
-        grpo_kwargs = _checked(_read_json_object(resolved["grpo_config"], "grpo-config"), _GRPO, "grpo-config")
-        inputs.append(resolved["grpo_config"])
     try:
-        grpo_cfg = GrpoConfig(**grpo_kwargs)
+        grpo_cfg = GrpoConfig(**{o.name: resolved[o.name] for o in _GRPO})
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -467,7 +454,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         else None,
     }
     _write_json(out / "summary.json", summary)
-    _write_manifest(out, "train-toy", resolved, inputs)
+    _write_manifest(out, "train-toy", resolved, [])
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -528,19 +515,7 @@ _MODEL_HELP = "model name sent with each request"
 _RANKERS = tuple(sorted(GENERATORS))
 _TASKS = ("judgment", "selection")
 
-# train-toy settings that a --world-spec file may also set
-_WORLD = (
-    _Option("n_users", int, 40, flag=False),
-    _Option("n_items", int, 300, flag=False),
-    _Option("dim", int, 8, flag=False),
-    _Option("world_seed", int, 11, flag=False),
-    _Option("history_length", tuple, 6, flag=False),
-    _Option("pool_size", int, 10, flag=False),
-    _Option("noise", float, 0.0, flag=False),
-    _Option("like_threshold", float, 0.0, flag=False),
-    _Option("m", int, 3),
-)
-# the keys of a --grpo-config file
+# the GrpoConfig fields, set through train-toy's --config
 _GRPO = tuple(_Option(f.name, type(f.default), f.default, flag=False) for f in dataclasses.fields(GrpoConfig))
 
 # command -> (help, function, options); every command also takes --config and --out
@@ -566,14 +541,22 @@ _COMMANDS = {
         _Option("temperature", float, 0.0),
     )),
     "train-toy": ("desk-scale grouped policy optimization", cmd_train_toy, (
-        *_paths("world_spec", "grpo_config"),
         _Option("iters", int, 1000),
         _Option("seed", int, 0),
         _Option("task", default="selection", choices=(*_TASKS, "mixed")),
         _Option("curriculum_fraction", float, 0.5),
         _Option("eval_episodes", int, 400),
-        *_WORLD,
+        _Option("n_users", int, 40, flag=False),
+        _Option("n_items", int, 300, flag=False),
+        _Option("dim", int, 8, flag=False),
+        _Option("world_seed", int, 11, flag=False),
+        _Option("history_length", tuple, 6, flag=False),
+        _Option("pool_size", int, 10, flag=False),
+        _Option("noise", float, 0.0, flag=False),
+        _Option("like_threshold", float, 0.0, flag=False),
+        _Option("m", int, 3),
         _Option("temperature", float, 2.5, flag=False),
+        *_GRPO,
     )),
     "rerank": ("before/after metrics around liked feedback", cmd_rerank, (
         *_paths("interactions", "feedback", "captions", "features"),

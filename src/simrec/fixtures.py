@@ -127,8 +127,8 @@ def _last_user_text(payload: dict) -> str:
     raise ValueError("payload has no user message")
 
 
-def _transcript(answer: str, status: str = "steady viewing habits") -> str:
-    return f"<think>(1) User_status: {status}</think><answer>(2) Next_video: {answer}</answer>"
+def _transcript(answer: str) -> str:
+    return f"<think>(1) User_status: steady viewing habits</think><answer>(2) Next_video: {answer}</answer>"
 
 
 def make_perfect_responder(episodes: Sequence[Episode]) -> Callable[[dict], dict]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -93,12 +94,8 @@ class FrameScores:
     def __post_init__(self) -> None:
         if not self.frames:
             raise ValueError(f"item {self.item!r}: need at least one scored frame")
-        if any(not _finite(f.score) for f in self.frames):
+        if not all(math.isfinite(f.score) for f in self.frames):
             raise ValueError(f"item {self.item!r}: frame scores must be finite")
-
-
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
 
 
 @dataclass(frozen=True)
@@ -116,13 +113,13 @@ class EnhancedCaption:
             raise ValueError(f"caption exceeds the {CAPTION_WORD_LIMIT}-word cap")
 
 
-def select_keyframes(scores: FrameScores, n: int = KEYFRAME_COUNT) -> tuple[FrameScore, ...]:
-    """The n highest-scoring frames, descending; ties go to the lower index.
+def select_keyframes(scores: FrameScores) -> tuple[FrameScore, ...]:
+    """The ``KEYFRAME_COUNT`` highest-scoring frames, descending; ties go to the lower index.
 
-    Returns every frame when fewer than n exist.
+    Returns every frame when fewer exist.
     """
     ranked = sorted(scores.frames, key=lambda f: (-f.score, f.index))
-    return tuple(ranked[:n])
+    return tuple(ranked[:KEYFRAME_COUNT])
 
 
 def _ask(
@@ -148,13 +145,12 @@ def run_ip_pipeline(
     cfg: EndpointConfig,
     transport: Transport,
     model: str = DEFAULT_CAPTION_MODEL,
-    word_limit: int = CAPTION_WORD_LIMIT,
     stats: ClientStats | None = None,
 ) -> EnhancedCaption:
     """Run the three-turn conversation for one item and return its caption.
 
-    The final reply must fit ``word_limit`` words; one corrective re-prompt is
-    attempted, after which the caption is truncated with a warning.
+    The final reply must fit ``CAPTION_WORD_LIMIT`` words; one corrective
+    re-prompt is attempted, after which the caption is truncated with a warning.
     """
     messages = [
         ChatMessage(
@@ -170,17 +166,17 @@ def run_ip_pipeline(
     caption = _ask(item.id, "summary", messages, model, cfg, transport, stats)
 
     retries = 0
-    if word_count(caption) > word_limit:
+    if word_count(caption) > CAPTION_WORD_LIMIT:
         messages.append(ChatMessage(role="user", content=LIMIT_REMINDER))
         caption = _ask(item.id, "summary-retry", messages, model, cfg, transport, stats)
         retries = 1
-        if word_count(caption) > word_limit:
+        if word_count(caption) > CAPTION_WORD_LIMIT:
             logger.warning(
                 "item %r: caption still over %d words after retry; truncating",
                 item.id,
-                word_limit,
+                CAPTION_WORD_LIMIT,
             )
-            caption = " ".join(caption.split()[:word_limit])
+            caption = " ".join(caption.split()[:CAPTION_WORD_LIMIT])
 
     return EnhancedCaption(
         item=item.id,
@@ -235,16 +231,15 @@ def batch_augment(
     cfg: EndpointConfig,
     transport: Transport,
     out_path: str | Path,
-    items: list[ItemId] | None = None,
     model: str = DEFAULT_CAPTION_MODEL,
     parallelism: int = 1,
     stats: ClientStats | None = None,
 ) -> BatchReport:
-    """Caption many items, appending rows to ``out_path`` incrementally.
+    """Caption every item with frame scores, appending rows to ``out_path`` incrementally.
 
     Resumable: items that already have a caption row in the output are
-    skipped. Items without frame scores and per-item pipeline errors land in
-    the failure report; the batch continues. Up to ``parallelism`` items are
+    skipped. Items missing from the catalog and per-item pipeline errors land
+    in the failure report; the batch continues. Up to ``parallelism`` items are
     captioned at once, and each row is written and flushed as soon as every
     earlier item is done, in sorted item order, so an interrupted run leaves
     a sorted prefix on disk and reruns are byte-identical.
@@ -253,17 +248,14 @@ def batch_augment(
         frame_scores = load_frame_scores(frame_scores)
     out_path = Path(out_path)
     report = BatchReport()
-    wanted = sorted(items) if items is not None else sorted(frame_scores)
     done = _existing_caption_items(out_path)
 
     todo: list[ItemId] = []
-    for item_id in wanted:
+    for item_id in sorted(frame_scores):
         if item_id in done:
             report.skipped += 1
         elif item_id not in catalog:
             report.failures.append((item_id, "unknown item"))
-        elif item_id not in frame_scores:
-            report.failures.append((item_id, "missing frame scores"))
         else:
             todo.append(item_id)
 

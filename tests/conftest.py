@@ -5,8 +5,21 @@ import pytest
 from simrec.core import load_interactions
 from simrec.env import EnvConfig, SyntheticEpisodeSource, generate_synthetic_world
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+TESTS_DIR = Path(__file__).resolve().parent
+REPO_ROOT = TESTS_DIR.parent
 DATA_DIR = REPO_ROOT / "data" / "synthetic"
+
+
+def pytest_collection_modifyitems(items):
+    """Fail a test under tests/ that leaks a file handle.
+
+    An unclosed file warns from its finaliser, where a raised warning becomes
+    an unraisable exception, so both warnings are errors.
+    """
+    for item in items:
+        if TESTS_DIR in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
 
 
 @pytest.fixture(scope="session")

@@ -293,7 +293,7 @@ def test_c07_ip_pipeline_determinism(tmp_path):
             for i, s in enumerate(rng.uniform(0, 1, size=count).round(3))
         )
         scores = FrameScores(item="x", frames=frames)
-        picked = select_keyframes(scores, 3)
+        picked = select_keyframes(scores)
         oracle = tuple(sorted(frames, key=lambda f: (-f.score, f.index))[:3])
         assert picked == oracle
 

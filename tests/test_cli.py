@@ -352,29 +352,33 @@ class TestTrainToyCommand:
         assert run("train-toy", "--config", manifest, "--out", tmp_path / "run") == 2
         assert "'curriculum'" in capsys.readouterr().err
 
-    def test_world_spec_and_grpo_config_files(self, tmp_path):
-        world_spec = tmp_path / "world.json"
-        world_spec.write_text(json.dumps({"n_users": 10, "n_items": 50, "dim": 4, "m": 2}))
-        grpo_cfg = tmp_path / "grpo.json"
-        grpo_cfg.write_text(json.dumps({"group_size": 4, "learning_rate": 0.02}))
+    def test_config_sets_world_and_grpo_keys(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"n_users": 10, "n_items": 50, "dim": 4, "m": 2, "group_size": 4, "learning_rate": 0.02}
+        ))
         out = tmp_path / "run"
-        assert run(
-            "train-toy",
-            "--world-spec", world_spec,
-            "--grpo-config", grpo_cfg,
-            "--iters", 10,
-            "--out", out,
-        ) == 0
+        assert run("train-toy", "--config", cfg, "--iters", 10, "--out", out) == 0
         assert (out / "policy.npz").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert len(manifest["inputs"]) == 2
+        assert manifest["inputs"] == {}
+        assert (manifest["config"]["n_users"], manifest["config"]["group_size"]) == (10, 4)
 
     def test_bad_grpo_config_exits_2(self, tmp_path):
-        grpo_cfg = tmp_path / "grpo.json"
-        grpo_cfg.write_text(json.dumps({"group_size": 1}))
-        assert run(
-            "train-toy", "--grpo-config", grpo_cfg, "--iters", 5, "--out", tmp_path / "run"
-        ) == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"group_size": 1}))
+        assert run("train-toy", "--config", cfg, "--iters", 5, "--out", tmp_path / "run") == 2
+
+    def test_rerun_from_manifest_is_bit_identical(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_users": 12, "m": 2, "group_size": 6, "learning_rate": 0.02}))
+        first = tmp_path / "first"
+        assert run("train-toy", "--config", cfg, "--iters", 20, "--eval-episodes", 20, "--out", first) == 0
+        cfg.unlink()
+        second = tmp_path / "second"
+        assert run("train-toy", "--config", first / "manifest.json", "--out", second) == 0
+        for name in ("trace.jsonl", "summary.json", "policy.npz"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 class TestRerankCommand:
@@ -469,6 +473,9 @@ class TestConfigValues:
             ("simulate", "temperature", "0.0"),
             ("eval-rec", "k", [10, 20]),
             ("eval-rec", "seed", True),
+            ("train-toy", "n_users", "10"),
+            ("train-toy", "history_length", [3]),
+            ("train-toy", "group_size", "4"),
         ],
     )
     def test_wrong_type_or_choice_exits_2_naming_the_key(
@@ -480,27 +487,17 @@ class TestConfigValues:
         assert run(command, "--config", cfg, *argv, "--out", tmp_path / "run") == 2
         assert f"config key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flag,content,needle",
-        [
-            ("--world-spec", {"n_users": "10"}, "world-spec key 'n_users'"),
-            ("--world-spec", {"history_length": [3]}, "world-spec key 'history_length'"),
-            ("--grpo-config", {"group_size": "4"}, "grpo-config key 'group_size'"),
-            ("--grpo-config", {"discount": 1.0}, "unknown grpo-config keys"),
-        ],
-    )
-    def test_train_toy_files_are_checked_per_key(self, flag, content, needle, tmp_path, capsys):
-        path = tmp_path / "file.json"
-        path.write_text(json.dumps(content))
-        assert run("train-toy", flag, path, "--iters", 4, "--out", tmp_path / "run") == 2
-        assert needle in capsys.readouterr().err
+    def test_unknown_train_toy_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"discount": 1.0}))
+        assert run("train-toy", "--config", cfg, "--iters", 4, "--out", tmp_path / "run") == 2
+        assert "unknown config keys: ['discount']" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--config", "--world-spec", "--grpo-config"])
     @pytest.mark.parametrize("content", ["[1, 2]", "{not json"])
-    def test_unreadable_json_file_exits_2_naming_it(self, flag, content, tmp_path, capsys):
+    def test_unreadable_json_file_exits_2_naming_it(self, content, tmp_path, capsys):
         path = tmp_path / "file.json"
         path.write_text(content)
-        assert run("train-toy", flag, path, "--iters", 4, "--out", tmp_path / "run") == 2
+        assert run("train-toy", "--config", path, "--iters", 4, "--out", tmp_path / "run") == 2
         assert str(path) in capsys.readouterr().err
 
     def test_int_is_accepted_for_a_float_key(self, tmp_path):
@@ -512,12 +509,12 @@ class TestConfigValues:
         assert type(config["curriculum_fraction"]) is float
         assert type(config["temperature"]) is float
 
-    def test_flag_beats_world_spec(self, tmp_path):
-        world_spec = tmp_path / "world.json"
-        world_spec.write_text(json.dumps({"n_users": 10, "m": 2}))
+    def test_flag_beats_config_key(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_users": 10, "m": 2}))
         out = tmp_path / "run"
         assert run(
-            "train-toy", "--world-spec", world_spec, "--m", 3, "--iters", 4, "--eval-episodes", 4, "--out", out
+            "train-toy", "--config", cfg, "--m", 3, "--iters", 4, "--eval-episodes", 4, "--out", out
         ) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["n_users"], config["m"]) == (10, 3)
@@ -553,10 +550,10 @@ ENDPOINT_DEFAULTS = {"endpoint": None, "record": None, "timeout": 30.0, "retries
         pytest.param(
             ["train-toy", "--iters", 6, "--eval-episodes", 4, "--task", "mixed", "--m", 2,
              "--curriculum-fraction", 0.5],
-            {"world_spec": None, "grpo_config": None, "iters": 6, "seed": 0, "task": "mixed",
-             "curriculum_fraction": 0.5, "m": 2, "eval_episodes": 4, "n_users": 40,
-             "n_items": 300, "dim": 8, "world_seed": 11, "history_length": 6, "pool_size": 10, "noise": 0.0,
-             "like_threshold": 0.0, "temperature": 2.5},
+            {"iters": 6, "seed": 0, "task": "mixed", "curriculum_fraction": 0.5, "m": 2, "eval_episodes": 4,
+             "n_users": 40, "n_items": 300, "dim": 8, "world_seed": 11, "history_length": 6, "pool_size": 10,
+             "noise": 0.0, "like_threshold": 0.0, "temperature": 2.5, "group_size": 16, "clip_epsilon": 0.2,
+             "kl_coefficient": 0.001, "learning_rate": 0.05, "std_floor": 1e-8},
             id="train-toy",
         ),
         pytest.param(

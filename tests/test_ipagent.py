@@ -33,13 +33,13 @@ def frames(*scores):
 class TestSelectKeyframes:
     def test_top3_by_score_descending(self):
         scores = frames(0.1, 0.9, 0.3, 0.8, 0.2, 0.7, 0.05, 0.4, 0.6, 0.15)
-        assert [f.index for f in select_keyframes(scores, 3)] == [1, 3, 5]
+        assert [f.index for f in select_keyframes(scores)] == [1, 3, 5]
 
     def test_ties_break_to_lower_index(self):
-        assert [f.index for f in select_keyframes(frames(0.5, 0.5, 0.5, 0.5), 3)] == [0, 1, 2]
+        assert [f.index for f in select_keyframes(frames(0.5, 0.5, 0.5, 0.5))] == [0, 1, 2]
 
     def test_shortfall_returns_all(self):
-        assert [f.index for f in select_keyframes(frames(0.2, 0.9), 3)] == [1, 0]
+        assert [f.index for f in select_keyframes(frames(0.2, 0.9))] == [1, 0]
 
     def test_fuzz_against_sorting_oracle(self):
         rng = np.random.default_rng(61)
@@ -47,7 +47,7 @@ class TestSelectKeyframes:
             count = int(rng.integers(1, 14))
             values = [float(x) for x in rng.uniform(0, 1, size=count).round(3)]
             scores = frames(*values)
-            picked = select_keyframes(scores, 3)
+            picked = select_keyframes(scores)
             oracle = sorted(scores.frames, key=lambda f: (-f.score, f.index))[:3]
             assert list(picked) == oracle
             assert len(picked) == min(3, count)
@@ -148,17 +148,6 @@ class TestBatchAugment:
         assert transport.calls == calls_after_first
         assert report.written == 0
         assert report.skipped == 5
-
-    def test_missing_scores_listed_in_failures(self, tmp_path, catalog5, bundled_dataset):
-        out = tmp_path / "captions.jsonl"
-        scores = load_frame_scores(bundled_dataset["frame_scores"])
-        wanted = sorted(scores)
-        missing_item = wanted[0]
-        del scores[missing_item]
-        transport = MockTransport(responder=make_caption_responder())
-        report = batch_augment(catalog5, scores, CFG, transport, out, items=wanted)
-        assert report.written == 4
-        assert (missing_item, "missing frame scores") in report.failures
 
     def test_failed_stage_recorded_and_batch_continues(self, tmp_path, catalog5, bundled_dataset):
         scores = load_frame_scores(bundled_dataset["frame_scores"])
