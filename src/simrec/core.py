@@ -110,9 +110,16 @@ class UserHistory:
         return self.behaviors[-1]
 
     def training_view(self) -> "UserHistory":
-        """This history with the held-out target dropped."""
+        """This history with the held-out target dropped.
+
+        A prefix of a valid history is valid, so the view skips the checks of
+        ``__post_init__``.
+        """
         self._require_target()
-        return UserHistory(self.user, self.behaviors[:-1])
+        view = object.__new__(UserHistory)
+        object.__setattr__(view, "user", self.user)
+        object.__setattr__(view, "behaviors", self.behaviors[:-1])
+        return view
 
     def item_ids(self) -> tuple[ItemId, ...]:
         return tuple(b.item for b in self.behaviors)
@@ -186,11 +193,24 @@ TaskKind = Judgment | Selection
 # ---------------------------------------------------------------------------
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def _parse_jsonl_row(line: str) -> dict:
+    # raw_decode of the stripped line skips json.loads's per-call overhead; a line
+    # it cannot take whole goes to json.loads, whose error names the fault as before
+    text = line.strip(_JSON_WHITESPACE)
     try:
-        row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON ({exc.msg})") from exc
+        row, end = _raw_decode(text)
+    except json.JSONDecodeError:
+        end = -1
+    if end != len(text):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON ({exc.msg})") from exc
     if not isinstance(row, dict):
         raise ValueError("expected an object")
     return row
@@ -257,7 +277,7 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     count = 0
     with Path(path).open("w", encoding="utf-8") as handle:
         for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
+            handle.write(_encode_sorted(row) + "\n")
             count += 1
     return count
 

@@ -20,8 +20,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence, TypeVar
@@ -124,6 +122,10 @@ class HttpTransport(Transport):
         self.cfg = cfg
 
     def send(self, payload: dict) -> dict:
+        # imported here, so that importing simrec does not load http.client, email and ssl
+        import urllib.error
+        import urllib.request
+
         url = self.cfg.base_url.rstrip("/") + "/v1/chat/completions"
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.cfg.auth_env)

@@ -7,8 +7,11 @@ harness can score any generator exposing ``fit`` + ``scores``, from which
 protocol: each user's last interaction is held out and ranked against the full
 catalog minus that user's training items (ranks are 1-based; ties break by
 item id so rankings are deterministic). A rank is counted, not sorted: it is 1
-plus the number of unseen items that beat the target.
-"""
+plus the number of unseen items that beat the target. Generators whose order
+is fixed at ``fit`` (popularity, the random baseline, and markov, which only
+lifts a user's few transition targets above popularity) rank and list by
+lookup in that order instead, in O(history) per call; ``scores`` stays their
+definition."""
 
 from __future__ import annotations
 
@@ -44,6 +47,7 @@ class CandidateGenerator(ABC):
     Subclasses implement ``fit`` and ``scores``; ``top_k`` and ``rank`` are
     built on ``scores`` here, so every generator orders items the same way:
     higher score first, ties to the smaller item id, history items excluded.
+    ``FixedOrderGenerator`` replaces both with lookups that return the same.
     """
 
     _ids: tuple[ItemId, ...] | None = None  # sorted catalog, the index order of ``scores``
@@ -64,7 +68,8 @@ class CandidateGenerator(ABC):
         """Catalog positions of the history's items."""
         if self._ids is None:
             raise RuntimeError(f"{type(self).__name__} has not been fitted")
-        return [self._index[b.item] for b in history.behaviors if b.item in self._index]
+        index = self._index
+        return [index[b.item] for b in history.behaviors if b.item in index]
 
     def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
         """Ranked candidates for a user, excluding items already in ``history``.
@@ -101,21 +106,67 @@ def _popularity(histories: Sequence[UserHistory], ids: Sequence[ItemId]) -> np.n
     return np.array([counts[i] for i in ids], dtype=np.int64)
 
 
-class PopularityGenerator(CandidateGenerator):
+class FixedOrderGenerator(CandidateGenerator):
+    """A generator whose ranking is one order fixed at ``fit``, led per user by ``_lead``.
+
+    ``top_k`` and ``rank`` equal the ``CandidateGenerator`` versions on
+    ``scores`` but look items up in the fixed order instead of passing over
+    the catalog: a target's rank is its place in that order, less the seen and
+    lead items placed before it, plus the unseen lead items.
+    """
+
+    def _fix_order(self, scores: np.ndarray) -> None:
+        """Keep ``scores`` (read-only) and each item's place in its stable descending sort."""
+        scores.setflags(write=False)
+        self._scores = scores
+        order = np.argsort(-scores, kind="stable")
+        place = np.empty(len(order), dtype=np.intp)
+        place[order] = np.arange(len(order))
+        self._order = order.tolist()
+        self._place = place.tolist()
+
+    def scores(self, history: UserHistory) -> np.ndarray:
+        return self._scores
+
+    def _lead(self, history: UserHistory) -> Sequence[int]:
+        """Catalog positions that outrank every other item for this user, best first."""
+        return ()
+
+    def _split(self, history: UserHistory) -> tuple[set[int], list[int], set[int]]:
+        """Seen positions, unseen lead positions (best first), and every position off the fixed walk."""
+        seen = set(self._seen(history))
+        lead = self._lead(history)
+        return seen, [p for p in lead if p not in seen], seen.union(lead)
+
+    def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
+        _, first, skip = self._split(history)
+        head = self._order if k is None else self._order[: k + len(skip)]
+        ids = self._ids
+        return [ids[p] for p in first + [p for p in head if p not in skip]][:k]
+
+    def rank(self, history: UserHistory, item: ItemId) -> int | None:
+        seen, first, skip = self._split(history)
+        pos = self._index.get(item)
+        if pos is None or pos in seen:
+            return None
+        if pos in first:
+            return first.index(pos) + 1
+        place = self._place
+        target = place[pos]
+        return 1 + len(first) + target - sum(place[p] < target for p in skip)
+
+
+class PopularityGenerator(FixedOrderGenerator):
     """Ranks the catalog by global interaction count."""
 
     def fit(self, histories: Sequence[UserHistory], catalog: dict[ItemId, Item]) -> None:
         if not histories:
             raise ValueError("need non-empty training histories")
         self._set_catalog(catalog)
-        self._counts = _popularity(histories, self._ids)
-        self._counts.setflags(write=False)
-
-    def scores(self, history: UserHistory) -> np.ndarray:
-        return self._counts
+        self._fix_order(_popularity(histories, self._ids))
 
 
-class MarkovGenerator(CandidateGenerator):
+class MarkovGenerator(FixedOrderGenerator):
     """Ranks by first-order transition counts from the user's last item.
 
     Items never seen after the context item fall back to popularity order, as
@@ -127,22 +178,32 @@ class MarkovGenerator(CandidateGenerator):
         if not histories:
             raise ValueError("need non-empty training histories")
         self._set_catalog(catalog)
+        index = self._index
         transitions: dict[ItemId, Counter] = defaultdict(Counter)
         for history in histories:
             items = history.item_ids()
             for prev, nxt in zip(items, items[1:]):
-                if nxt in self._index:
-                    transitions[prev][nxt] += 1
-        self._transitions = dict(transitions)
-        self._counts = _popularity(histories, self._ids)
+                pos = index.get(nxt)
+                if pos is not None:
+                    transitions[prev][pos] += 1
+        self._transitions = dict(transitions)  # context item -> {catalog position: count}
+        self._fix_order(_popularity(histories, self._ids))
         # one transition outweighs any popularity gap, so counts only break ties
-        self._weight = int(self._counts.max(initial=0)) + 1
+        self._weight = int(self._scores.max(initial=0)) + 1
 
     def scores(self, history: UserHistory) -> np.ndarray:
-        scores = self._counts.copy()
-        for item, n in self._transitions.get(history.behaviors[-1].item, {}).items():
-            scores[self._index[item]] += self._weight * n
+        scores = self._scores.copy()
+        for pos, n in self._transitions.get(history.behaviors[-1].item, {}).items():
+            scores[pos] += self._weight * n
         return scores
+
+    def _lead(self, history: UserHistory) -> Sequence[int]:
+        boosts = self._transitions.get(history.behaviors[-1].item)
+        if not boosts:
+            return ()
+        # a boost outweighs any popularity gap, so popularity only orders equal boosts
+        place = self._place
+        return sorted(boosts, key=lambda p: (-boosts[p], place[p]))
 
 
 class EmbeddingGenerator(CandidateGenerator):
@@ -167,11 +228,11 @@ class EmbeddingGenerator(CandidateGenerator):
         rows = self._seen(history)
         if not rows:
             raise ValueError(f"user {history.user!r}: no history item has a feature vector")
-        profile = self._features[rows].mean(axis=0)
+        profile = self._features[rows].sum(axis=0) / len(rows)  # bit-equal to .mean(axis=0)
         return self._features @ profile
 
 
-class RandomGenerator(CandidateGenerator):
+class RandomGenerator(FixedOrderGenerator):
     """Seeded uniform ranking; the chance-level baseline for reports."""
 
     def __init__(self, seed: int) -> None:
@@ -181,12 +242,9 @@ class RandomGenerator(CandidateGenerator):
         rng = np.random.default_rng(self.seed)
         self._set_catalog(catalog)
         n = len(self._ids)
-        self._scores = np.empty(n, dtype=np.int64)
-        self._scores[rng.permutation(n)] = np.arange(n, 0, -1)
-        self._scores.setflags(write=False)
-
-    def scores(self, history: UserHistory) -> np.ndarray:
-        return self._scores
+        scores = np.empty(n, dtype=np.int64)
+        scores[rng.permutation(n)] = np.arange(n, 0, -1)
+        self._fix_order(scores)
 
 
 def fit_popularity(
@@ -403,31 +461,40 @@ def load_feedback(path: str | Path) -> list[tuple[UserId, ItemId]]:
     return [pair for _, pair in iter_jsonl(path, lambda row: (str(row["user"]), str(row["item"])))]
 
 
-def _feature_row(row: dict) -> tuple[ItemId, tuple[float, ...]]:
-    return str(row["item"]), tuple(float(x) for x in row["vec"])
-
-
 def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[ItemId, Item]:
     """Attach feature vectors from a JSONL ({"item","vec"}) or .npz file.
 
-    Unknown items are skipped with a warning, and a repeated JSONL item is a
-    ValueError naming the path and line; returns a new catalog.
+    Unknown items are skipped with a warning. A repeated JSONL item, a ``vec``
+    that is not a list, and one whose length differs from the first row's are
+    each a ValueError naming the path and line; returns a new catalog.
     """
-    from dataclasses import replace
-
     path = Path(path)
     if path.suffix == ".npz":
         with np.load(path) as data:
             vectors = {item_id: tuple(float(x) for x in data[item_id]) for item_id in data.files}
     else:
-        vectors = read_jsonl_by_item(path, _feature_row)
+        dim: int | None = None  # the first row's length
+
+        def feature_row(row: dict) -> tuple[ItemId, tuple[float, ...]]:
+            nonlocal dim
+            vec = row["vec"]
+            if not isinstance(vec, list):
+                raise ValueError(f"vec must be a list of numbers, got {type(vec).__name__}")
+            if dim is None:
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise ValueError(f"vec has {len(vec)} entries, the first row's has {dim}")
+            return str(row["item"]), tuple(map(float, vec))
+
+        vectors = read_jsonl_by_item(path, feature_row)
     updated = dict(catalog)
     unknown = 0
     for item_id, vec in vectors.items():
-        if item_id not in updated:
+        item = updated.get(item_id)
+        if item is None:
             unknown += 1
             continue
-        updated[item_id] = replace(updated[item_id], feature=vec)
+        updated[item_id] = Item(item.id, item.title, item.enhanced_caption, vec)
     if unknown:
         logger.warning("load_item_features: skipped %d unknown item(s)", unknown)
     return updated

@@ -159,6 +159,20 @@ class TestEvalRecCommand:
             "--out", out,
         ) == 0
 
+    def test_mixed_length_features_exit_2_naming_the_line(self, tmp_path, capsys):
+        features = tmp_path / "features.jsonl"
+        rows = (DATA_DIR / "features.jsonl").read_text().splitlines()
+        first, second = json.loads(rows[0]), json.loads(rows[1])
+        features.write_text(json.dumps(first) + "\n" + json.dumps(second | {"vec": second["vec"][:-1]}) + "\n")
+        assert run(
+            "eval-rec",
+            "--interactions", DATA_DIR / "interactions.jsonl",
+            "--features", features,
+            "--model", "embedding",
+            "--out", tmp_path / "run",
+        ) == 2
+        assert f"{features}: line 2: vec has " in capsys.readouterr().err
+
     def test_embedding_without_features_exits_2(self, tmp_path):
         assert run(
             "eval-rec",

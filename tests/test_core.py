@@ -2,7 +2,7 @@ import json
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
@@ -11,6 +11,7 @@ from simrec.core import (
     CandidateSet,
     Item,
     UserHistory,
+    _parse_jsonl_row,
     attach_captions,
     load_interactions,
     save_interactions,
@@ -230,6 +231,62 @@ def test_every_reader_names_path_and_line(tmp_path, name):
     assert f"{path}: line 2: " in str(info.value)
     if name.endswith("-duplicate"):
         assert str(info.value) == f"{path}: line 2: duplicate item 'a'"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# JSON whitespace and, to show they are kept, characters that str.strip() would also drop
+_SPACES = st.text(alphabet=" \t\n\r\x0b\x0c\xa0\u2028\ufeff", max_size=3)
+
+
+@st.composite
+def jsonl_lines(draw):
+    """A line as a file holds it: JSON or near-JSON text between runs of spaces."""
+    body = draw(
+        st.one_of(
+            st.builds(json.dumps, _JSON_VALUES, ensure_ascii=st.booleans()),
+            st.text(max_size=10),
+            st.just("{}"),
+        )
+    )
+    tail = draw(st.sampled_from(["", "", "x", "{}", " 1", "]", '"']))
+    return draw(_SPACES) + body + draw(_SPACES) + tail + draw(st.sampled_from(["", "\n"]))
+
+
+def _outcome(parse, line: str) -> str:
+    try:
+        return repr(parse(line))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _loads_row(line: str) -> dict:
+    """The row contract on ``json.loads``, the reference ``_parse_jsonl_row`` must match."""
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(row, dict):
+        raise ValueError("expected an object")
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=jsonl_lines())
+@example(line='  {"a": 1}\t\n')  # surrounding JSON whitespace
+@example(line='{"a": 1} x\n')  # trailing data
+@example(line="{} {}\n")
+@example(line="{}")  # an empty object
+@example(line="[1]\n")  # not an object
+@example(line="\ufeff{}\n")  # a byte-order mark is no whitespace
+@example(line="\x0c{}\n")
+@example(line='"abc\n')  # the newline is inside the string
+@example(line="\n")
+def test_parse_jsonl_row_matches_json_loads(line):
+    assert _outcome(_parse_jsonl_row, line) == _outcome(_loads_row, line)
 
 
 _SELECTION_ROW = {

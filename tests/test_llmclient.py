@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from simrec.llmclient import (
     ChatMessage,
     ChatRequest,
@@ -332,3 +335,18 @@ class TestWireFormat:
             ChatRequest(model="m", messages=(ChatMessage(role="user", content="x"),), max_tokens=0)
         with pytest.raises(ValueError):
             ChatMessage(role="bot", content="x")
+
+
+def test_importing_simrec_leaves_the_http_stack_unloaded():
+    """Only ``HttpTransport.send`` needs ``urllib.request`` (and its http.client, email, ssl)."""
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, simrec.fixtures; print(sorted(m for m in ('urllib.request', 'http.client', 'ssl') if m in sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -133,17 +133,49 @@ GENERATORS = {**recommender.GENERATORS, "random": fit_random}
 @pytest.mark.parametrize("model", sorted(GENERATORS))
 @settings(max_examples=100, deadline=None)
 @given(world=tied_worlds(), k=st.integers(0, 8))
+@example(  # a repeated view item, an outside context item with a transition, outside targets
+    world=(
+        catalog_of("i0", "i1", "i2", "i3", features={i: (1.0, 0.0) for i in ("i0", "i1", "i2", "i3")}),
+        [history("u1", ["i1", "i2", "x0", "i3"]), history("u2", ["i2", "i1", "i1", "x0", "i0"])],
+        history("q", ["i1", "i2", "i1", "x0"]),
+    ),
+    k=1,
+)
+@example(  # equal transition counts from i0, so popularity orders i2 before i1
+    world=(
+        catalog_of("i0", "i1", "i2", features={i: (1.0, 0.0) for i in ("i0", "i1", "i2")}),
+        [history("u1", ["i0", "i1"]), history("u2", ["i0", "i2"]), history("u3", ["i2", "i2"])],
+        history("q", ["i0"]),
+    ),
+    k=1,
+)
 def test_rank_and_top_k_agree(model, world, k):
+    """``top_k`` and ``rank`` read off a stable descending sort of ``scores``, seen items removed."""
     catalog, histories, view = world
     gen = GENERATORS[model](histories, catalog)
-    full = gen.top_k(view, None)
+    ids = sorted(catalog)
+    scores = gen.scores(view).tolist()
+    seen = set(view.item_ids())
+    full = [ids[j] for j in sorted(range(len(ids)), key=lambda j: -scores[j]) if ids[j] not in seen]
+    assert gen.top_k(view, None) == full
     assert gen.top_k(view, k) == full[:k]
-    assert sorted(full) == sorted(set(catalog) - set(view.item_ids()))
     for item in [*catalog, *OUTSIDE]:
         if item in full:
             assert gen.rank(view, item) == full.index(item) + 1
         else:
             assert gen.rank(view, item) is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.lists(st.integers(0, 9), min_size=1, max_size=12))
+def test_embedding_profile_is_bit_equal_to_the_mean(seed, rows):
+    rng = np.random.default_rng(seed)
+    ids = [f"i{j}" for j in range(10)]
+    features = {i: tuple(rng.normal(size=8).tolist()) for i in ids}
+    gen = fit_embedding([history("u", ids[:2])], catalog_of(*ids, features=features))
+    matrix = np.array([features[i] for i in ids])
+    want = matrix @ matrix[rows].mean(axis=0)
+    assert np.array_equal(gen.scores(history("q", [ids[r] for r in rows])), want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,6 +394,22 @@ class TestFeatureAndFeedbackFiles:
         catalog = load_item_features(catalog_of("A", "B"), path)
         assert catalog["A"].feature == (0.5, -1.0)
         assert catalog["B"].feature is None
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ('"12"', "vec must be a list of numbers, got str"),
+            ("3.0", "vec must be a list of numbers, got float"),
+            ("[1.0, 2.0]", "vec has 2 entries, the first row's has 3"),
+            ("[]", "vec has 0 entries, the first row's has 3"),
+        ],
+    )
+    def test_load_item_features_rejects_a_bad_vec(self, tmp_path, second, message):
+        path = tmp_path / "v.jsonl"
+        path.write_text(f'{{"item": "A", "vec": [0.5, -1.0, 2.0]}}\n{{"item": "B", "vec": {second}}}\n')
+        with pytest.raises(ValueError) as info:
+            load_item_features(catalog_of("A", "B"), path)
+        assert str(info.value) == f"{path}: line 2: {message}"
 
     def test_load_item_features_npz(self, tmp_path):
         path = tmp_path / "v.npz"
