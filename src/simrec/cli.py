@@ -392,8 +392,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_train_toy(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     out = _out_dir(resolved)
+    iterations = resolved["iters"]
     try:
         grpo_cfg = GrpoConfig(**{o.name: resolved[o.name] for o in _GRPO})
+        switch = curriculum_switch_iteration(iterations, resolved["curriculum_fraction"])
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -413,7 +415,6 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     source = SyntheticEpisodeSource(world, catalog, histories, env_cfg, pool_size=resolved["pool_size"])
     policy = ToySoftmaxPolicy(world, dim=resolved["dim"], temperature=resolved["temperature"])
 
-    iterations = resolved["iters"]
     report_every = max(1, iterations // 10)
 
     def report_progress(entry: dict) -> None:
@@ -449,9 +450,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         "task": task,
         "heldout_accuracy": heldout,
         "final_mean_reward": trace[-1]["mean_reward"],
-        "switch_iteration": curriculum_switch_iteration(iterations, resolved["curriculum_fraction"])
-        if task == "mixed"
-        else None,
+        "switch_iteration": switch if task == "mixed" else None,
     }
     _write_json(out / "summary.json", summary)
     _write_manifest(out, "train-toy", resolved, [])

@@ -21,7 +21,6 @@ analytic gradient checked against finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from contextlib import nullcontext
@@ -31,7 +30,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .core import ItemId, Judgment, Selection, UserId
+from .core import ItemId, Judgment, Selection, UserId, _encode_sorted
 from .env import Episode
 from .rewards import total_reward
 
@@ -113,12 +112,16 @@ def normalize_advantages(rewards: Sequence[float] | np.ndarray, std_floor: float
     r = np.asarray(rewards, dtype=float)
     if r.ndim != 1 or len(r) < 2:
         raise ValueError("need a flat group of at least 2 rewards")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("rewards must be finite")
-    std = float(np.std(r))
+    # np.mean and np.std run these same ufunc reductions in this order, so
+    # calling them directly keeps every bit and skips the wrappers' cost.
+    n = len(r)
+    d = r - np.add.reduce(r) / n
+    std = math.sqrt(np.add.reduce(d * d) / n)
     if std < std_floor:
         return np.zeros_like(r)
-    return (r - np.mean(r)) / std
+    return d / std
 
 
 def kl_estimate(logp_current: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
@@ -130,19 +133,24 @@ def kl_estimate(logp_current: np.ndarray, logp_ref: np.ndarray) -> np.ndarray:
     ref = np.asarray(logp_ref, dtype=float)
     if cur.shape != ref.shape:
         raise ValueError("log-prob arrays must have equal length")
-    if not (np.all(np.isfinite(cur)) and np.all(np.isfinite(ref))):
+    if not (np.isfinite(cur).all() and np.isfinite(ref).all()):
         raise ValueError("log-probs must be finite")
     log_rho = ref - cur
     return np.expm1(log_rho) - log_rho
+
+
+def _clip_ratio(rho: np.ndarray, cfg: GrpoConfig) -> np.ndarray:
+    # Equal to np.clip bit for bit (and NaN-propagating like it), minus its dispatch.
+    return np.minimum(np.maximum(rho, 1.0 - cfg.clip_epsilon), 1.0 + cfg.clip_epsilon)
 
 
 def surrogate_objective(group: RolloutGroup, cfg: GrpoConfig) -> float:
     """The clipped grouped objective with KL penalty, averaged over the group."""
     rho = np.exp(group.logp_current - group.logp_old)
     adv = group.advantages
-    clipped = np.clip(rho, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
+    clipped = _clip_ratio(rho, cfg) * adv
     penalty = cfg.kl_coefficient * kl_estimate(group.logp_current, group.logp_ref)
-    return float(np.mean(np.minimum(rho * adv, clipped) - penalty))
+    return float(np.add.reduce(np.minimum(rho * adv, clipped) - penalty) / group.size)
 
 
 def objective_gradient(group: RolloutGroup, cfg: GrpoConfig, grads: np.ndarray) -> np.ndarray:
@@ -157,7 +165,7 @@ def objective_gradient(group: RolloutGroup, cfg: GrpoConfig, grads: np.ndarray) 
     rho = np.exp(group.logp_current - group.logp_old)
     adv = group.advantages
     # min() takes the unclipped branch on ties, so equality goes there too.
-    active = rho * adv <= np.clip(rho, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
+    active = rho * adv <= _clip_ratio(rho, cfg) * adv
     dmin_dlc = np.where(active, adv * rho, 0.0)
     dkl_dlc = 1.0 - np.exp(group.logp_ref - group.logp_current)
     coeff = (dmin_dlc - cfg.kl_coefficient * dkl_dlc) / group.size
@@ -177,8 +185,8 @@ class VectorLookup(Protocol):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - math.log(float(np.sum(np.exp(shifted))))
+    shifted = logits - np.maximum.reduce(logits)
+    return shifted - math.log(np.add.reduce(np.exp(shifted)))
 
 
 class ToySoftmaxPolicy(Policy):
@@ -206,8 +214,14 @@ class ToySoftmaxPolicy(Policy):
         self.W = np.zeros((dim, dim)) if weights is None else np.array(weights, dtype=float)
         if self.W.shape != (dim, dim):
             raise ValueError(f"weights must have shape ({dim}, {dim})")
+        # The last episode and its (u, v): a training step asks for the same
+        # episode's vectors three times. Vectors only, never weights.
+        self._last: tuple[Episode, np.ndarray, np.ndarray] | None = None
 
     def _episode_vectors(self, episode: Episode) -> tuple[np.ndarray, np.ndarray]:
+        last = self._last
+        if last is not None and last[0] is episode:
+            return last[1], last[2]
         u = self._vectors.user_vector(episode.user)
         if isinstance(episode.task, Selection):
             v = np.stack(
@@ -217,6 +231,7 @@ class ToySoftmaxPolicy(Policy):
             v = self._vectors.item_vector(episode.task.item)[None, :]
         else:
             raise TypeError(f"unknown task kind: {episode.task!r}")
+        self._last = (episode, u, v)
         return u, v
 
     def _logits(self, episode: Episode, u: np.ndarray, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -276,6 +291,8 @@ class EpisodeSource(Protocol):
 
 def curriculum_switch_iteration(iterations: int, fraction: float) -> int:
     """First iteration at which mixed tasks replace judgment-only training."""
+    if not 0.0 <= fraction <= 1.0:  # NaN fails both comparisons
+        raise ValueError(f"curriculum_fraction must lie in [0, 1], got {fraction!r}")
     return int(math.ceil(iterations * fraction))
 
 
@@ -324,15 +341,17 @@ def train(
             logp = policy.log_probs(episode)
             # One draw for the group reads the same stream as G single draws.
             actions = rng.choice(len(logp), size=cfg.group_size, p=np.exp(logp))
+            # Python ints: str() of a numpy integer is several times slower.
             rewards = np.array(
-                [total_reward(render_action(episode, a), episode.task, truth).total for a in actions]
+                [total_reward(render_action(episode, a), episode.task, truth).total for a in actions.tolist()]
             )
+            logp_sampled = logp[actions]
             group = RolloutGroup(
                 actions=actions,
                 rewards=rewards,
                 advantages=normalize_advantages(rewards, cfg.std_floor),
-                logp_current=logp[actions],
-                logp_old=logp[actions],
+                logp_current=logp_sampled,
+                logp_old=logp_sampled,
                 logp_ref=policy.log_probs(episode, reference)[actions],
             )
             objective = surrogate_objective(group, cfg)
@@ -341,14 +360,14 @@ def train(
 
             entry = {
                 "iter": it,
-                "mean_reward": float(np.mean(rewards)),
+                "mean_reward": float(np.add.reduce(rewards) / cfg.group_size),
                 "accuracy": int(np.count_nonzero(actions == truth_token(episode))) / cfg.group_size,
                 "objective": objective,
                 "task": kind,
             }
             trace.append(entry)
             if handle is not None:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+                handle.write(_encode_sorted(entry) + "\n")
                 handle.flush()
             if progress is not None:
                 progress(entry)

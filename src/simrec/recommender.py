@@ -466,12 +466,18 @@ def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[It
 
     Unknown items are skipped with a warning. A repeated JSONL item, a ``vec``
     that is not a list, and one whose length differs from the first row's are
-    each a ValueError naming the path and line; returns a new catalog.
+    each a ValueError naming the path and line; a .npz vector whose length
+    differs from the first one's is a ValueError naming the path and item.
+    Returns a new catalog.
     """
     path = Path(path)
     if path.suffix == ".npz":
         with np.load(path) as data:
             vectors = {item_id: tuple(float(x) for x in data[item_id]) for item_id in data.files}
+        first = len(next(iter(vectors.values()), ()))
+        for item_id, vec in vectors.items():
+            if len(vec) != first:
+                raise ValueError(f"{path}: item {item_id!r}: vec has {len(vec)} entries, the first item's has {first}")
     else:
         dim: int | None = None  # the first row's length
 

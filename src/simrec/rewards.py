@@ -85,7 +85,8 @@ def _parse_judgment_action(answer: str) -> Verdict | None:
 
 def _parse_selection_action(answer: str, task: Selection) -> Select | None:
     # The "(2)" in the response template is a list marker, not the answer.
-    body = _ENUM_PREFIX_RE.sub("", answer)
+    prefix = _ENUM_PREFIX_RE.match(answer)
+    body = answer[prefix.end():] if prefix is not None else answer
     marker = _NEXT_VIDEO_RE.search(body)
     if marker is not None:
         body = body[marker.end():]
@@ -116,17 +117,19 @@ def parse_response(raw: str, task: TaskKind) -> ParsedResponse:
     """
     think = _THINK_RE.search(raw)
     answer = _ANSWER_RE.search(raw)
-    think_text = think.group(1).strip() if think else None
-    answer_text = answer.group(1).strip() if answer else None
-    tag_order_ok = bool(think and answer and think.start() < answer.start())
+    think_text = answer_text = user_status = None
+    action: Action | None = None
+    tag_order_ok = False
 
-    user_status = None
-    if think_text:
+    if think is not None:
+        think_text = think.group(1).strip()
         status = _USER_STATUS_RE.search(think_text)
         if status:
             user_status = status.group(1).strip() or None
+        tag_order_ok = answer is not None and think.start() < answer.start()
 
-    action: Action | None = None
+    if answer is not None:
+        answer_text = answer.group(1).strip()
     if answer_text:
         if isinstance(task, Judgment):
             action = _parse_judgment_action(answer_text)

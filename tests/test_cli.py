@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -357,6 +358,38 @@ class TestTrainToyCommand:
                 assert tasks == {"judgment", "selection"}
             else:
                 assert summary["switch_iteration"] is None
+
+    @pytest.mark.parametrize("fraction", ["-0.5", "1.5", "nan"])
+    def test_curriculum_fraction_outside_the_unit_interval_exits_2_naming_it(self, fraction, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train-toy", "--iters", 10, "--task", "mixed", "--curriculum-fraction", fraction, "--out", out) == 2
+        assert "curriculum_fraction must lie in [0, 1]" in capsys.readouterr().err
+        assert not (out / "trace.jsonl").exists()
+
+    # SHA-256 of trace.jsonl, summary.json and the final W's bytes at --iters
+    # 500 --seed 1; a change to any of them must be named in CHANGES.md.
+    @pytest.mark.parametrize(
+        "task,trace,summary,weights",
+        [
+            ("selection", "c5b6983f610f2b5e3bb2759a1063fc1b3cde821a19388f4b19cb16871da77a4a",
+             "17f56fad784687f769306e814e66901fad0c8065572bc304ac67079602287b37",
+             "d4ef753587c1f50d968b670800dd8d2b6094a64cdac3d917f74c9c0e9a5c245d"),
+            ("judgment", "d935975c41d54a065668bdf13eb501ba26166cc657b074933f3e2bc6d5d48c3d",
+             "09523aedc40bb960267d6cd9ae184dc8384f548dac146bbdc6a14d3046d276f9",
+             "157d4c1ae88297a0610bdf174c9362a6fc967523493a4438bbab4d93b536179b"),
+            ("mixed", "a5209ae8786365e54697d87dd88054b385d58b285f411759f1eae3a974148296",
+             "7165493a255c83f779f466dcc466f56bb191a3125746b2d3bd235e454add472f",
+             "35ca2441775a2e2e7e208b60abcbe743c1b57203b9bc29e81223542fc3822d64"),
+        ],
+    )
+    def test_outputs_are_pinned(self, task, trace, summary, weights, tmp_path):
+        out = tmp_path / "run"
+        assert run("train-toy", "--iters", 500, "--seed", 1, "--task", task, "--out", out) == 0
+        with np.load(out / "policy.npz") as policy:
+            w = policy["W"].tobytes()
+        got = [hashlib.sha256(data).hexdigest()
+               for data in ((out / "trace.jsonl").read_bytes(), (out / "summary.json").read_bytes(), w)]
+        assert got == [trace, summary, weights]
 
     def test_manifest_with_the_removed_curriculum_key_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"

@@ -5,11 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simrec.grpo import (
     GrpoConfig,
     RolloutGroup,
     ToySoftmaxPolicy,
+    _log_softmax,
+    curriculum_switch_iteration,
     evaluate_policy,
     kl_estimate,
     normalize_advantages,
@@ -275,6 +279,88 @@ class TestObjectiveGradient:
             assert surrogate_objective(refreshed, cfg) >= before - 1e-12
 
 
+# The numpy-wrapper formulations the group math replaced; the replacements run
+# the same ufunc loops, so they must agree bit for bit, not just closely.
+def wrapper_advantages(rewards, std_floor):
+    r = np.asarray(rewards, dtype=float)
+    std = float(np.std(r))
+    return np.zeros_like(r) if std < std_floor else (r - np.mean(r)) / std
+
+
+def wrapper_objective(group, cfg):
+    rho = np.exp(group.logp_current - group.logp_old)
+    clipped = np.clip(rho, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * group.advantages
+    log_rho = group.logp_ref - group.logp_current
+    penalty = cfg.kl_coefficient * (np.expm1(log_rho) - log_rho)
+    return float(np.mean(np.minimum(rho * group.advantages, clipped) - penalty))
+
+
+def wrapper_gradient(group, cfg, grads):
+    rho = np.exp(group.logp_current - group.logp_old)
+    adv = group.advantages
+    active = rho * adv <= np.clip(rho, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * adv
+    dkl_dlc = 1.0 - np.exp(group.logp_ref - group.logp_current)
+    coeff = (np.where(active, adv * rho, 0.0) - cfg.kl_coefficient * dkl_dlc) / group.size
+    return (coeff[:, None] * grads[group.actions]).sum(axis=0)
+
+
+def wrapper_log_softmax(logits):
+    shifted = logits - np.max(logits)
+    return shifted - math.log(float(np.sum(np.exp(shifted))))
+
+
+class TestBitEqualToTheNumpyWrappers:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=st.integers(2, 32),
+        judgment=st.booleans(),
+        n_actions=st.integers(2, 10),
+        reward_values=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+        shift=st.floats(0.0, 1.0),
+        kl_coefficient=st.sampled_from([0.0, 0.001, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A constant group, and a judgment group whose ratios leave the clip range on both sides.
+    @example(g=2, judgment=False, n_actions=4, reward_values=[-1.5], shift=0.5, kl_coefficient=0.001, seed=0)
+    @example(g=32, judgment=True, n_actions=2, reward_values=[2.0, -2.0], shift=1.0, kl_coefficient=0.3, seed=1)
+    def test_group_math(self, g, judgment, n_actions, reward_values, shift, kl_coefficient, seed):
+        rng = np.random.default_rng(seed)
+        cfg = GrpoConfig(group_size=g, kl_coefficient=kl_coefficient)
+        if judgment:
+            s = rng.normal(scale=3.0)
+            logits, ref_logits = np.array([s, -s]), np.array([-s / 2, s / 2])
+        else:
+            logits, ref_logits = rng.normal(scale=3.0, size=(2, n_actions))
+        logp = _log_softmax(logits)
+        assert np.array_equal(logp, wrapper_log_softmax(logits))
+        logp_ref = _log_softmax(ref_logits)
+        actions = rng.integers(len(logp), size=g)
+        rewards = rng.choice(reward_values, size=g)
+        advantages = normalize_advantages(rewards, cfg.std_floor)
+        assert np.array_equal(advantages, wrapper_advantages(rewards, cfg.std_floor))
+        # Ratios exp(+-shift) on the first two responses: past 1 + eps and
+        # 1 - eps once shift > log(1.25), so the clip binds on both sides.
+        log_ratio = rng.uniform(-shift, shift, size=g)
+        log_ratio[:2] = shift, -shift
+        group = RolloutGroup(
+            actions=actions,
+            rewards=rewards,
+            advantages=advantages,
+            logp_current=logp[actions],
+            logp_old=logp[actions] - log_ratio,
+            logp_ref=logp_ref[actions],
+        )
+        assert surrogate_objective(group, cfg) == wrapper_objective(group, cfg)
+        grads = rng.normal(size=(len(logp), 6))
+        assert np.array_equal(objective_gradient(group, cfg, grads), wrapper_gradient(group, cfg, grads))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40))
+    def test_log_softmax(self, logits):
+        logits = np.array(logits)
+        assert np.array_equal(_log_softmax(logits), wrapper_log_softmax(logits))
+
+
 class TestToySoftmaxPolicy:
     def test_probabilities_sum_to_one(self, small_world):
         world, _, _, source = small_world
@@ -301,6 +387,19 @@ class TestToySoftmaxPolicy:
                         assert parsed.action is (Verdict.YES if action == 0 else Verdict.NO)
                     assert parsed.tag_order_ok
                     assert parsed.user_status
+
+
+    def test_vector_cache_never_serves_a_stale_episode(self, small_world):
+        world, _, _, source = small_world
+        rng = np.random.default_rng(19)
+        a, b = source.sample(rng, "selection"), source.sample(rng, "selection")
+        policy = ToySoftmaxPolicy(world, dim=4)
+        for episode in (a, b, a):
+            theta = rng.standard_normal(16)
+            policy.set_parameters(theta)
+            fresh = ToySoftmaxPolicy(world, dim=4, weights=theta.reshape(4, 4))
+            assert np.array_equal(policy.log_probs(episode), fresh.log_probs(episode))
+            assert np.array_equal(policy.log_prob_gradients(episode), fresh.log_prob_gradients(episode))
 
 
 class TestTrain:
@@ -379,6 +478,17 @@ class TestTrain:
         )
         assert all(t["task"] == "judgment" for t in trace[:30])
         assert {t["task"] for t in trace[30:]} == {"judgment", "selection"}
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.5, math.nan])
+    def test_curriculum_fraction_outside_the_unit_interval_rejected(self, small_world, fraction):
+        world, _, _, source = small_world
+        with pytest.raises(ValueError, match="curriculum_fraction"):
+            train(source, ToySoftmaxPolicy(world, dim=4), GrpoConfig(group_size=4), 10, seed=0,
+                  task="mixed", curriculum_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction,switch", [(0.0, 0), (0.25, 3), (1.0, 10)])
+    def test_curriculum_fraction_bounds_accepted(self, fraction, switch):
+        assert curriculum_switch_iteration(10, fraction) == switch
 
     def test_selection_learning_improves(self, small_world):
         world, _, _, source = small_world

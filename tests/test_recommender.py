@@ -417,6 +417,13 @@ class TestFeatureAndFeedbackFiles:
         catalog = load_item_features(catalog_of("A"), path)
         assert catalog["A"].feature == (1.0, 2.0)
 
+    def test_load_item_features_npz_rejects_mixed_lengths(self, tmp_path):
+        path = tmp_path / "v.npz"
+        np.savez(path, A=np.array([1.0, 2.0]), B=np.array([1.0]))
+        with pytest.raises(ValueError) as info:
+            load_item_features(catalog_of("A", "B"), path)
+        assert str(info.value) == f"{path}: item 'B': vec has 1 entries, the first item's has 2"
+
 
 def test_metric_report_rejects_out_of_range():
     import pytest as _pytest

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from simrec.core import CandidateSet, Judgment, Selection
 from simrec.rewards import (
+    _ENUM_PREFIX_RE,
     ParsedResponse,
     Select,
     Verdict,
@@ -175,6 +176,15 @@ def _assert_in_tables(raw):
 @given(raw=transcripts())
 def test_rewards_stay_in_finite_sets(raw):
     _assert_in_tables(raw)
+
+
+@settings(max_examples=300, deadline=None)
+@given(answer=st.text(alphabet="()0123456789 \n\tx:", max_size=16))
+def test_enum_prefix_slice_equals_a_substitution(answer):
+    # The selection parser slices off an anchored match of the "(2)" marker;
+    # that must leave what substituting the pattern away leaves.
+    prefix = _ENUM_PREFIX_RE.match(answer)
+    assert (answer[prefix.end():] if prefix else answer) == _ENUM_PREFIX_RE.sub("", answer)
 
 
 def test_every_short_fragment_sequence_stays_in_finite_sets():
