@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +54,7 @@ class Item:
                 raise ValueError(
                     f"item {self.id!r}: caption exceeds {CAPTION_WORD_LIMIT} words"
                 )
-        if self.feature is not None and not all(math.isfinite(x) for x in self.feature):
+        if self.feature is not None and not all(map(math.isfinite, self.feature)):
             raise ValueError(f"item {self.id!r}: feature vector has non-finite entries")
 
     def display_text(self) -> str:
@@ -62,17 +62,16 @@ class Item:
         return self.enhanced_caption if self.enhanced_caption is not None else self.title
 
 
-@dataclass(frozen=True)
-class BehaviorRecord:
-    """One watched video with an optional comment at an integer ordinal."""
+class BehaviorRecord(NamedTuple):
+    """One watched video with an optional comment at an integer ordinal.
+
+    A tuple, so cheap to build and immutable; ``UserHistory`` checks that its
+    item id is non-empty.
+    """
 
     item: ItemId
     timestamp: int
     comment: str | None = None
-
-    def __post_init__(self) -> None:
-        if not self.item:
-            raise ValueError("behavior item id must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -92,9 +91,19 @@ class UserHistory:
             raise ValueError("user id must be non-empty")
         if len(self.behaviors) < 1:
             raise ValueError(f"user {self.user!r}: history must be non-empty")
+        if not all(b.item for b in self.behaviors):
+            raise ValueError("behavior item id must be non-empty")
         stamps = [b.timestamp for b in self.behaviors]
         if any(b >= a for b, a in zip(stamps, stamps[1:])):
             raise ValueError(f"user {self.user!r}: ordinals must be strictly increasing")
+
+    @classmethod
+    def _unchecked(cls, user: UserId, behaviors: tuple[BehaviorRecord, ...]) -> "UserHistory":
+        """A history built from fields already known to be valid, skipping ``__post_init__``."""
+        history = object.__new__(cls)
+        object.__setattr__(history, "user", user)
+        object.__setattr__(history, "behaviors", behaviors)
+        return history
 
     def __len__(self) -> int:
         return len(self.behaviors)
@@ -116,10 +125,7 @@ class UserHistory:
         ``__post_init__``.
         """
         self._require_target()
-        view = object.__new__(UserHistory)
-        object.__setattr__(view, "user", self.user)
-        object.__setattr__(view, "behaviors", self.behaviors[:-1])
-        return view
+        return UserHistory._unchecked(self.user, self.behaviors[:-1])
 
     def item_ids(self) -> tuple[ItemId, ...]:
         return tuple(b.item for b in self.behaviors)
@@ -317,7 +323,7 @@ def load_interactions(path: str | Path) -> tuple[dict[ItemId, Item], list[UserHi
         records = per_user.setdefault(user, {})
         if ordinal in records:
             raise ValueError(f"duplicate ordinal {ordinal} for user {user!r}")
-        records[ordinal] = BehaviorRecord(item=item, timestamp=ordinal, comment=comment)
+        records[ordinal] = BehaviorRecord(item, ordinal, comment)
 
     # add() runs inside iter_jsonl so that its errors name the path and line
     for _ in iter_jsonl(path, add, _parse_tsv_row if path.suffix == ".tsv" else _parse_jsonl_row):
@@ -330,8 +336,8 @@ def load_interactions(path: str | Path) -> tuple[dict[ItemId, Item], list[UserHi
         if len(records) < 2:
             dropped += 1
             continue
-        behaviors = tuple(records[o] for o in sorted(records))
-        histories.append(UserHistory(user=user, behaviors=behaviors))
+        # ids checked per row, ordinals distinct and now sorted: validated once, here
+        histories.append(UserHistory._unchecked(user, tuple(records[o] for o in sorted(records))))
     if dropped:
         logger.warning("dropped %d user(s) with fewer than 2 behaviors", dropped)
 

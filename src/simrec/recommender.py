@@ -10,15 +10,15 @@ item id so rankings are deterministic). A rank is counted, not sorted: it is 1
 plus the number of unseen items that beat the target. Generators whose order
 is fixed at ``fit`` (popularity, the random baseline, and markov, which only
 lifts a user's few transition targets above popularity) rank and list by
-lookup in that order instead, in O(history) per call; ``scores`` stays their
-definition."""
+lookup in that order instead: a rank is one place lookup per history item plus
+a count; ``scores`` stays their definition."""
 
 from __future__ import annotations
 
 import logging
 import math
 from abc import ABC, abstractmethod
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -47,7 +47,8 @@ class CandidateGenerator(ABC):
     Subclasses implement ``fit`` and ``scores``; ``top_k`` and ``rank`` are
     built on ``scores`` here, so every generator orders items the same way:
     higher score first, ties to the smaller item id, history items excluded.
-    ``FixedOrderGenerator`` replaces both with lookups that return the same.
+    ``rank`` and ``holdout_ranks`` share one primitive, ``_rank``, which
+    subclasses may replace with a cheaper count that returns the same.
     """
 
     _ids: tuple[ItemId, ...] | None = None  # sorted catalog, the index order of ``scores``
@@ -64,19 +65,19 @@ class CandidateGenerator(ABC):
     def _set_catalog(self, catalog: dict[ItemId, Item]) -> None:
         self._ids, self._index = _catalog_index(tuple(sorted(catalog)))
 
-    def _seen(self, history: UserHistory) -> list[int]:
-        """Catalog positions of the history's items."""
+    def _positions(self, behaviors: Sequence[BehaviorRecord]) -> list[int]:
+        """Catalog positions of the behaviors' items, repeats kept."""
         if self._ids is None:
             raise RuntimeError(f"{type(self).__name__} has not been fitted")
         index = self._index
-        return [index[b.item] for b in history.behaviors if b.item in index]
+        return [index[b.item] for b in behaviors if b.item in index]
 
     def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
         """Ranked candidates for a user, excluding items already in ``history``.
 
         ``k=None`` returns the full ranking over the catalog.
         """
-        seen = self._seen(history)
+        seen = self._positions(history.behaviors)
         order = np.argsort(-self.scores(history), kind="stable")
         unseen = np.ones(len(order), dtype=bool)
         unseen[seen] = False
@@ -88,11 +89,15 @@ class CandidateGenerator(ABC):
 
         ``None`` when the item is in the history or not in the catalog.
         """
-        seen = self._seen(history)
+        return self._rank(history.user, history.behaviors, item)
+
+    def _rank(self, user: UserId, behaviors: tuple[BehaviorRecord, ...], item: ItemId) -> int | None:
+        """``rank`` of ``item`` for ``user`` with ``behaviors`` as the history."""
+        seen = self._positions(behaviors)
         pos = self._index.get(item)
         if pos is None or pos in seen:
             return None
-        scores = self.scores(history)
+        scores = self.scores(UserHistory(user=user, behaviors=behaviors))
         target = scores[pos]
         beats = scores > target
         beats[:pos] |= scores[:pos] == target
@@ -109,51 +114,59 @@ def _popularity(histories: Sequence[UserHistory], ids: Sequence[ItemId]) -> np.n
 class FixedOrderGenerator(CandidateGenerator):
     """A generator whose ranking is one order fixed at ``fit``, led per user by ``_lead``.
 
-    ``top_k`` and ``rank`` equal the ``CandidateGenerator`` versions on
+    ``top_k`` and ``_rank`` equal the ``CandidateGenerator`` versions on
     ``scores`` but look items up in the fixed order instead of passing over
     the catalog: a target's rank is its place in that order, less the seen and
     lead items placed before it, plus the unseen lead items.
     """
 
+    _place: dict[ItemId, int] | None = None  # item -> place in the fixed order
+
     def _fix_order(self, scores: np.ndarray) -> None:
-        """Keep ``scores`` (read-only) and each item's place in its stable descending sort."""
+        """Keep ``scores`` (read-only), the items in their stable descending sort, and each item's place."""
         scores.setflags(write=False)
         self._scores = scores
-        order = np.argsort(-scores, kind="stable")
-        place = np.empty(len(order), dtype=np.intp)
-        place[order] = np.arange(len(order))
-        self._order = order.tolist()
-        self._place = place.tolist()
+        self._by_place = list(map(self._ids.__getitem__, np.argsort(-scores, kind="stable").tolist()))
+        self._place = dict(zip(self._by_place, range(len(scores))))
 
     def scores(self, history: UserHistory) -> np.ndarray:
         return self._scores
 
-    def _lead(self, history: UserHistory) -> Sequence[int]:
-        """Catalog positions that outrank every other item for this user, best first."""
+    def _lead(self, behaviors: tuple[BehaviorRecord, ...]) -> Sequence[int]:
+        """Places of the items that outrank every other item for this history, best first."""
         return ()
 
-    def _split(self, history: UserHistory) -> tuple[set[int], list[int], set[int]]:
-        """Seen positions, unseen lead positions (best first), and every position off the fixed walk."""
-        seen = set(self._seen(history))
-        lead = self._lead(history)
-        return seen, [p for p in lead if p not in seen], seen.union(lead)
+    def _seen(self, behaviors: tuple[BehaviorRecord, ...]) -> set[int]:
+        """Places of the behaviors' items; one outside the catalog sits at ``len(catalog)``, past them all."""
+        place = self._place
+        if place is None:
+            raise RuntimeError(f"{type(self).__name__} has not been fitted")
+        end = len(place)
+        return {place.get(b.item, end) for b in behaviors}
 
     def top_k(self, history: UserHistory, k: int | None) -> list[ItemId]:
-        _, first, skip = self._split(history)
-        head = self._order if k is None else self._order[: k + len(skip)]
-        ids = self._ids
-        return [ids[p] for p in first + [p for p in head if p not in skip]][:k]
+        behaviors = history.behaviors
+        skip = self._seen(behaviors)
+        first = [q for q in self._lead(behaviors) if q not in skip]  # unseen lead, best first
+        skip.update(first)
+        by_place = self._by_place
+        head = range(len(by_place) if k is None else min(len(by_place), k + len(skip)))
+        return [by_place[q] for q in first + [q for q in head if q not in skip]][:k]
 
-    def rank(self, history: UserHistory, item: ItemId) -> int | None:
-        seen, first, skip = self._split(history)
-        pos = self._index.get(item)
-        if pos is None or pos in seen:
+    def _rank(self, user: UserId, behaviors: tuple[BehaviorRecord, ...], item: ItemId) -> int | None:
+        skip = self._seen(behaviors)
+        target = self._place.get(item)
+        if target is None or target in skip:
             return None
-        if pos in first:
-            return first.index(pos) + 1
-        place = self._place
-        target = place[pos]
-        return 1 + len(first) + target - sum(place[p] < target for p in skip)
+        ahead = 1 + target
+        lead = self._lead(behaviors)
+        if lead:
+            first = [q for q in lead if q not in skip]  # unseen lead, best first
+            if target in first:
+                return first.index(target) + 1
+            ahead += len(first)
+            skip.update(first)
+        return ahead - sum(map(target.__gt__, skip))  # less the skipped places before the target
 
 
 class PopularityGenerator(FixedOrderGenerator):
@@ -178,32 +191,33 @@ class MarkovGenerator(FixedOrderGenerator):
         if not histories:
             raise ValueError("need non-empty training histories")
         self._set_catalog(catalog)
-        index = self._index
-        transitions: dict[ItemId, Counter] = defaultdict(Counter)
-        for history in histories:
-            items = history.item_ids()
-            for prev, nxt in zip(items, items[1:]):
-                pos = index.get(nxt)
-                if pos is not None:
-                    transitions[prev][pos] += 1
-        self._transitions = dict(transitions)  # context item -> {catalog position: count}
         self._fix_order(_popularity(histories, self._ids))
+        place = self._place
+        transitions: dict[ItemId, dict[int, int]] = {}  # context item -> {place: count}
+        for history in histories:
+            behaviors = history.behaviors
+            for prev, nxt in zip(behaviors, behaviors[1:]):
+                q = place.get(nxt.item)
+                if q is not None:
+                    counts = transitions.setdefault(prev.item, {})
+                    counts[q] = counts.get(q, 0) + 1
+        self._transitions = transitions
         # one transition outweighs any popularity gap, so counts only break ties
         self._weight = int(self._scores.max(initial=0)) + 1
 
     def scores(self, history: UserHistory) -> np.ndarray:
         scores = self._scores.copy()
-        for pos, n in self._transitions.get(history.behaviors[-1].item, {}).items():
-            scores[pos] += self._weight * n
+        index, by_place = self._index, self._by_place
+        for q, n in self._transitions.get(history.behaviors[-1].item, {}).items():
+            scores[index[by_place[q]]] += self._weight * n
         return scores
 
-    def _lead(self, history: UserHistory) -> Sequence[int]:
-        boosts = self._transitions.get(history.behaviors[-1].item)
+    def _lead(self, behaviors: tuple[BehaviorRecord, ...]) -> Sequence[int]:
+        boosts = self._transitions.get(behaviors[-1].item)
         if not boosts:
             return ()
-        # a boost outweighs any popularity gap, so popularity only orders equal boosts
-        place = self._place
-        return sorted(boosts, key=lambda p: (-boosts[p], place[p]))
+        # a boost outweighs any popularity gap, so popularity (the place) only orders equal boosts
+        return sorted(boosts, key=lambda q: (-boosts[q], q))
 
 
 class EmbeddingGenerator(CandidateGenerator):
@@ -225,11 +239,24 @@ class EmbeddingGenerator(CandidateGenerator):
         self._features = np.array([catalog[i].feature for i in self._ids], dtype=float)
 
     def scores(self, history: UserHistory) -> np.ndarray:
-        rows = self._seen(history)
+        return self._scores_of(history.user, self._positions(history.behaviors))
+
+    def _scores_of(self, user: UserId, rows: list[int]) -> np.ndarray:
+        """A fresh score array for the history whose catalog positions are ``rows``."""
         if not rows:
-            raise ValueError(f"user {history.user!r}: no history item has a feature vector")
+            raise ValueError(f"user {user!r}: no history item has a feature vector")
         profile = self._features[rows].sum(axis=0) / len(rows)  # bit-equal to .mean(axis=0)
         return self._features @ profile
+
+    def _rank(self, user: UserId, behaviors: tuple[BehaviorRecord, ...], item: ItemId) -> int | None:
+        rows = self._positions(behaviors)
+        pos = self._index.get(item)
+        if pos is None or pos in rows:
+            return None
+        scores = self._scores_of(user, rows)
+        target = scores[pos]
+        scores[rows] = np.nan  # a seen item neither beats nor ties the target
+        return 1 + int(np.count_nonzero(scores > target)) + int(np.count_nonzero(scores[:pos] == target))
 
 
 class RandomGenerator(FixedOrderGenerator):
@@ -351,15 +378,17 @@ def holdout_ranks(
 
     The generator must already be fitted on the training views (behaviors
     1..N-1); the held-out target is ranked against the full catalog minus the
-    user's training items.
+    user's training items. Each rank is ``generator.rank(history.training_view(),
+    target)``, read through the same primitive straight off the behaviors.
     """
+    rank = generator._rank
     out: list[tuple[int | None, bool]] = []
     for history in histories:
-        if len(history) < 2:
+        behaviors = history.behaviors
+        if len(behaviors) < 2:
             raise ValueError(f"user {history.user!r}: evaluation needs at least 2 behaviors")
-        prefix = history.training_view()
-        rank = generator.rank(prefix, history.target().item)
-        out.append((rank, len(prefix) <= COLD_MAX_TRAIN_INTERACTIONS))
+        prefix = behaviors[:-1]
+        out.append((rank(history.user, prefix, behaviors[-1].item), len(prefix) <= COLD_MAX_TRAIN_INTERACTIONS))
     return out
 
 
@@ -369,7 +398,12 @@ def evaluate_leave_one_out(
     ks: Sequence[int] = (10, 20),
     slices: Sequence[str] = ("all",),
 ) -> dict[str, MetricReport]:
-    """HR@k / NDCG@k over all users and (optionally) the cold-user slice."""
+    """HR@k / NDCG@k over all users and (optionally) the cold-user slice.
+
+    Each target is ranked against the generator's fitted catalog, which for
+    ``eval-rec`` is the interaction catalog: items that only a features file
+    names are not candidates (``load_item_features`` skips them).
+    """
     pairs = holdout_ranks(generator, histories)
     reports: dict[str, MetricReport] = {}
     for tag in slices:
@@ -461,14 +495,20 @@ def load_feedback(path: str | Path) -> list[tuple[UserId, ItemId]]:
     return [pair for _, pair in iter_jsonl(path, lambda row: (str(row["user"]), str(row["item"])))]
 
 
+_NUMBER_TYPES = frozenset((float, int))  # the types JSON numbers decode to; a JSON true has type bool
+
+
 def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[ItemId, Item]:
     """Attach feature vectors from a JSONL ({"item","vec"}) or .npz file.
 
-    Unknown items are skipped with a warning. A repeated JSONL item, a ``vec``
-    that is not a list, and one whose length differs from the first row's are
-    each a ValueError naming the path and line; a .npz vector whose length
-    differs from the first one's is a ValueError naming the path and item.
-    Returns a new catalog.
+    The catalog stays the one given, which for ``eval-rec`` is every item some
+    interaction names: vectors for other items are skipped and counted in one
+    warning, so they never become ranking candidates. A repeated JSONL item, a
+    ``vec`` that is not a list, one with an entry that is not a JSON number
+    (a bool or a string, say), and one whose length differs from the first
+    row's are each a ValueError naming the path and line; a .npz vector whose
+    length differs from the first one's is a ValueError naming the path and
+    item. Returns a new catalog.
     """
     path = Path(path)
     if path.suffix == ".npz":
@@ -490,6 +530,9 @@ def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[It
                 dim = len(vec)
             elif len(vec) != dim:
                 raise ValueError(f"vec has {len(vec)} entries, the first row's has {dim}")
+            if not _NUMBER_TYPES.issuperset(map(type, vec)):
+                bad = next(x for x in vec if type(x) not in _NUMBER_TYPES)
+                raise ValueError(f"vec entries must be numbers, got {type(bad).__name__}")
             return str(row["item"]), tuple(map(float, vec))
 
         vectors = read_jsonl_by_item(path, feature_row)

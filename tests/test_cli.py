@@ -12,6 +12,7 @@ from simrec.fixtures import (
     make_perfect_responder,
     make_uniform_responder,
     simulation_request,
+    write_synthetic_dataset,
 )
 from simrec.llmclient import EndpointConfig, MockTransport, RecordingTransport, complete_batch
 from conftest import DATA_DIR
@@ -233,6 +234,39 @@ class TestEvalRecCommand:
             "eval-rec", "--config", first / "manifest.json", "--out", second
         ) == 0
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "dataset, model, features, digest",
+        [
+            ("bundled", "popularity", False, "6eeacd65b60d7dbc3537257f1a1d2431768bbf9685250f6d61e0be4938103ace"),
+            ("bundled", "popularity", True, "6eeacd65b60d7dbc3537257f1a1d2431768bbf9685250f6d61e0be4938103ace"),
+            ("bundled", "markov", False, "e9c47bd21aba4fb9650b0fb161397b73ea0445ec9324545169e92d9493301c9c"),
+            ("bundled", "markov", True, "e9c47bd21aba4fb9650b0fb161397b73ea0445ec9324545169e92d9493301c9c"),
+            ("bundled", "embedding", True, "907f16763639dc819d224bfa7223090a414deb75e7b63f174926c4b053eac769"),
+            ("seeded", "popularity", False, "0e58d11562e9721404b6fe3410122b7981e8046e37ade85ee17d232362111afb"),
+            ("seeded", "popularity", True, "0e58d11562e9721404b6fe3410122b7981e8046e37ade85ee17d232362111afb"),
+            ("seeded", "markov", False, "8c20adb483966eeccf67629108cd6f2eccfcd469e6c90299d897aaaeb1eac073"),
+            ("seeded", "markov", True, "8c20adb483966eeccf67629108cd6f2eccfcd469e6c90299d897aaaeb1eac073"),
+            ("seeded", "embedding", True, "d61667bd777727263cf3a330025a13abe33189bf24f27e3d13cdda2a527f4283"),
+        ],
+    )
+    def test_reports_are_pinned(self, dataset, model, features, digest, seeded_dataset, tmp_path):
+        """Every model's report, with and without features (embedding needs them), is byte-stable."""
+        paths = seeded_dataset if dataset == "seeded" else {
+            "interactions": DATA_DIR / "interactions.jsonl", "features": DATA_DIR / "features.jsonl"
+        }
+        out = tmp_path / "run"
+        argv = ["eval-rec", "--interactions", paths["interactions"], "--model", model, "--out", out]
+        if features:
+            argv += ["--features", paths["features"]]
+        assert run(*argv) == 0
+        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def seeded_dataset(tmp_path_factory):
+    """A small seeded world whose features file also covers items no history touches."""
+    return write_synthetic_dataset(tmp_path_factory.mktemp("seeded"), seed=3, n_users=60, n_items=200)
 
 
 class TestSimulateCommand:

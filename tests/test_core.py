@@ -78,8 +78,9 @@ class TestLoadInteractions:
                 {"user": "u1", "item": "", "ord": 2},
             ],
         )
-        with pytest.raises(ValueError, match="line 2"):
+        with pytest.raises(ValueError) as info:
             load_interactions(path)
+        assert str(info.value) == f"{path}: line 2: empty item id"
 
     def test_duplicate_ordinal_rejected(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -343,6 +344,17 @@ class TestTypes:
                     BehaviorRecord(item="b", timestamp=1),
                 ),
             )
+
+    def test_behavior_record_is_immutable(self):
+        record = BehaviorRecord(item="a", timestamp=1)
+        assert record.comment is None
+        for field in ("item", "timestamp", "comment"):
+            with pytest.raises(AttributeError):
+                setattr(record, field, "b")
+
+    def test_history_rejects_an_empty_item_id(self):
+        with pytest.raises(ValueError, match="^behavior item id must be non-empty$"):
+            UserHistory(user="u", behaviors=(BehaviorRecord(item="a", timestamp=1), BehaviorRecord(item="", timestamp=2)))
 
     def test_history_split(self):
         history = UserHistory(

@@ -150,7 +150,7 @@ GENERATORS = {**recommender.GENERATORS, "random": fit_random}
     k=1,
 )
 def test_rank_and_top_k_agree(model, world, k):
-    """``top_k`` and ``rank`` read off a stable descending sort of ``scores``, seen items removed."""
+    """``top_k``, ``rank`` and ``holdout_ranks`` read off a stable descending sort of ``scores``, seen items removed."""
     catalog, histories, view = world
     gen = GENERATORS[model](histories, catalog)
     ids = sorted(catalog)
@@ -159,11 +159,21 @@ def test_rank_and_top_k_agree(model, world, k):
     full = [ids[j] for j in sorted(range(len(ids)), key=lambda j: -scores[j]) if ids[j] not in seen]
     assert gen.top_k(view, None) == full
     assert gen.top_k(view, k) == full[:k]
-    for item in [*catalog, *OUTSIDE]:
-        if item in full:
-            assert gen.rank(view, item) == full.index(item) + 1
-        else:
-            assert gen.rank(view, item) is None
+    cold = len(view) <= recommender.COLD_MAX_TRAIN_INTERACTIONS
+    for item in [*catalog, *OUTSIDE]:  # targets in the catalog, in the view, and outside the catalog
+        want = full.index(item) + 1 if item in full else None
+        assert gen.rank(view, item) == want
+        assert holdout_ranks(gen, [history("q", [*view.item_ids(), item])]) == [(want, cold)]
+    # users with a target and a catalog item to train on (embedding needs one for its profile)
+    held_out = [h for h in histories if len(h) >= 2 and set(h.item_ids()[:-1]) & set(catalog)]
+    assert [rank for rank, _ in holdout_ranks(gen, held_out)] == [direct_rank(gen, h) for h in held_out]
+
+
+def direct_rank(gen, history):
+    """The held-out target's place in ``top_k(training_view, None)``, or None when it is not listed."""
+    ranked = gen.top_k(history.training_view(), None)
+    target = history.target().item
+    return ranked.index(target) + 1 if target in ranked else None
 
 
 @settings(max_examples=50, deadline=None)
@@ -238,11 +248,22 @@ class TestLeaveOneOut:
         assert report.ndcg[10] == pytest.approx((1.0 + 0.5 + 0.0) / 3)
 
     def test_ranks_computed_from_generator(self):
-        histories = [history("u1", ["A", "B", "T"]), history("u2", ["A", "C", "Z"])]
-        rankings = {"u1": ["T", "C", "Z"], "u2": ["T", "B", "Z"]}  # none in the user's history
-        pairs = holdout_ranks(CannedRanker(rankings), histories)
-        assert pairs[0] == (1, True)   # T found at rank 1; 2 train items -> cold
-        assert pairs[1] == (3, True)   # Z at rank 3
+        histories = [
+            history("u1", ["A", "B", "T"]),
+            history("u2", ["A", "C", "Z"]),
+            history("u3", ["T", "A", "T"]),  # target already in the training items
+            history("u4", ["A", "C", "x0"]),  # target outside the catalog
+        ]
+        rankings = {
+            "u1": ["T", "C", "Z"],  # none in the user's history
+            "u2": ["T", "B", "Z"],
+            "u3": ["T", "C", "Z"],
+            "u4": ["T", "B", "Z"],
+        }
+        generator = CannedRanker(rankings)
+        pairs = holdout_ranks(generator, histories)
+        assert pairs == [(1, True), (3, True), (None, True), (None, True)]  # 2 train items -> cold
+        assert [rank for rank, _ in pairs] == [direct_rank(generator, h) for h in histories]
 
     def test_monotone_in_k(self, bundled_catalog_histories):
         catalog, histories = bundled_catalog_histories
@@ -360,6 +381,10 @@ class TestAugmentWithFeedback:
                 [history("u1", ["A", "B"])], [("u1", "ghost")], catalog_of("A", "B")
             )
 
+    def test_empty_item_rejected_without_catalog(self):
+        with pytest.raises(ValueError, match="^behavior item id must be non-empty$"):
+            augment_with_feedback([history("u1", ["A", "B"])], [("u1", "")])
+
     def test_existing_behaviors_preserved_bit_exactly(self):
         base = [history("u1", ["A", "B", "C"]), history("u2", ["B", "C"])]
         out = augment_with_feedback(base, [("u2", "A")])
@@ -402,6 +427,9 @@ class TestFeatureAndFeedbackFiles:
             ("3.0", "vec must be a list of numbers, got float"),
             ("[1.0, 2.0]", "vec has 2 entries, the first row's has 3"),
             ("[]", "vec has 0 entries, the first row's has 3"),
+            ("[0.5, true, 2.0]", "vec entries must be numbers, got bool"),
+            ('[0.5, "2", 2.0]', "vec entries must be numbers, got str"),
+            ("[0.5, null, 2.0]", "vec entries must be numbers, got NoneType"),
         ],
     )
     def test_load_item_features_rejects_a_bad_vec(self, tmp_path, second, message):
@@ -410,6 +438,27 @@ class TestFeatureAndFeedbackFiles:
         with pytest.raises(ValueError) as info:
             load_item_features(catalog_of("A", "B"), path)
         assert str(info.value) == f"{path}: line 2: {message}"
+
+    def test_features_for_items_outside_the_catalog_change_nothing(self, tmp_path, caplog):
+        """The ranked catalog is the interaction catalog; extra feature rows are skipped and counted."""
+        histories = [history("u1", ["A", "B", "C"]), history("u2", ["B", "C", "A"]), history("u3", ["C", "D", "B"])]
+        vectors = {"A": [1.0, 0.0], "B": [0.5, 0.5], "C": [0.0, 1.0], "D": [1.0, 1.0]}
+        extra = {"E": [2.0, 2.0], "F": [-1.0, 3.0]}
+        exact, padded = tmp_path / "exact.jsonl", tmp_path / "padded.jsonl"
+        write_jsonl(exact, [{"item": i, "vec": v} for i, v in vectors.items()])
+        write_jsonl(padded, [{"item": i, "vec": v} for i, v in (vectors | extra).items()])
+        views = [h.training_view() for h in histories]
+        results = []
+        for path in (exact, padded):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                catalog = load_item_features(catalog_of("A", "B", "C", "D"), path)
+            assert sorted(catalog) == ["A", "B", "C", "D"]
+            gen = fit_embedding(views, catalog)
+            results.append(([gen.top_k(view, None) for view in views], holdout_ranks(gen, histories)))
+            logged = [r.getMessage() for r in caplog.records]
+            assert logged == ([] if path == exact else ["load_item_features: skipped 2 unknown item(s)"])
+        assert results[0] == results[1]
 
     def test_load_item_features_npz(self, tmp_path):
         path = tmp_path / "v.npz"
