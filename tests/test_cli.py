@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ def episode_source():
 
 
 def record_simulation(episodes, responder, path):
-    """Record responder replies for exactly the requests simulate will send."""
-    cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
+    """Record responder replies for exactly the requests simulate will send, in order."""
+    cfg = EndpointConfig(max_retries=0, backoff_base=0.0, max_in_flight=1)
     requests = [simulation_request(ep.prompt) for ep in episodes]
     with RecordingTransport(MockTransport(responder=responder), path) as transport:
         complete_batch(requests, cfg, transport=transport)
@@ -235,32 +236,80 @@ class TestEvalRecCommand:
         ) == 0
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
 
+    # SHA-256 of every file a run writes: ``digest`` is its report (report.json,
+    # simulate's metrics.json or augment's captions.jsonl), ``outputs`` the rest.
+    # Inputs are copied next to the run and named by relative paths, so that the
+    # manifest bytes are stable; a changed pin must be named in CHANGES.md.
     @pytest.mark.parametrize(
-        "dataset, model, features, digest",
+        "dataset, model, features, digest, command, outputs",
         [
-            ("bundled", "popularity", False, "6eeacd65b60d7dbc3537257f1a1d2431768bbf9685250f6d61e0be4938103ace"),
-            ("bundled", "popularity", True, "6eeacd65b60d7dbc3537257f1a1d2431768bbf9685250f6d61e0be4938103ace"),
-            ("bundled", "markov", False, "e9c47bd21aba4fb9650b0fb161397b73ea0445ec9324545169e92d9493301c9c"),
-            ("bundled", "markov", True, "e9c47bd21aba4fb9650b0fb161397b73ea0445ec9324545169e92d9493301c9c"),
-            ("bundled", "embedding", True, "907f16763639dc819d224bfa7223090a414deb75e7b63f174926c4b053eac769"),
-            ("seeded", "popularity", False, "0e58d11562e9721404b6fe3410122b7981e8046e37ade85ee17d232362111afb"),
-            ("seeded", "popularity", True, "0e58d11562e9721404b6fe3410122b7981e8046e37ade85ee17d232362111afb"),
-            ("seeded", "markov", False, "8c20adb483966eeccf67629108cd6f2eccfcd469e6c90299d897aaaeb1eac073"),
-            ("seeded", "markov", True, "8c20adb483966eeccf67629108cd6f2eccfcd469e6c90299d897aaaeb1eac073"),
-            ("seeded", "embedding", True, "d61667bd777727263cf3a330025a13abe33189bf24f27e3d13cdda2a527f4283"),
+            ("bundled", "popularity", False, "6eeacd65b60d7dbc3537257f1a1d2431768bbf9685250f6d61e0be4938103ace",
+             "eval-rec", {"manifest.json": "53a2db9c409e10cc3e5b3041479452186fc2eb65d3c45e9c8c3e5675945fac8e"}),
+            ("bundled", "popularity", True, "6eeacd65b60d7dbc3537257f1a1d2431768bbf9685250f6d61e0be4938103ace",
+             "eval-rec", {"manifest.json": "2bc10e80739dc5e84bfd8ec6ba748ae219a39384ca1dfac7b9766f8fd08c7817"}),
+            ("bundled", "markov", False, "e9c47bd21aba4fb9650b0fb161397b73ea0445ec9324545169e92d9493301c9c",
+             "eval-rec", {"manifest.json": "e7f107b4c1fe9bfaae1705acd17286e91bc08dcbba12b82843b67a32d77889b0"}),
+            ("bundled", "markov", True, "e9c47bd21aba4fb9650b0fb161397b73ea0445ec9324545169e92d9493301c9c",
+             "eval-rec", {"manifest.json": "d43d1b7ccf744a7f564c63eb5d1c19998a0fd097ee896b750fbc7f31775a2649"}),
+            ("bundled", "embedding", True, "907f16763639dc819d224bfa7223090a414deb75e7b63f174926c4b053eac769",
+             "eval-rec", {"manifest.json": "1cfba18898263e0c994bc4f4be341f0ffcef9789d94e21c9ac34b8603db7fd35"}),
+            ("seeded", "popularity", False, "0e58d11562e9721404b6fe3410122b7981e8046e37ade85ee17d232362111afb",
+             "eval-rec", {"manifest.json": "7581cadc4377b692f773200cf22f49aebebd96bdc1c40fe3fac1d2497ffa5788"}),
+            ("seeded", "popularity", True, "0e58d11562e9721404b6fe3410122b7981e8046e37ade85ee17d232362111afb",
+             "eval-rec", {"manifest.json": "853fd1545e1375947a9f7501113bb195e6679f0d0339090d07dd0649cd45d23d"}),
+            ("seeded", "markov", False, "8c20adb483966eeccf67629108cd6f2eccfcd469e6c90299d897aaaeb1eac073",
+             "eval-rec", {"manifest.json": "f95893d5cfb627f424d279993dfd5d93b1024dadbcc92f6ff05756fad7e19323"}),
+            ("seeded", "markov", True, "8c20adb483966eeccf67629108cd6f2eccfcd469e6c90299d897aaaeb1eac073",
+             "eval-rec", {"manifest.json": "9290771a559ae8868c59d397d0577b119c57a8a65011cce6526966972f2d97c1"}),
+            ("seeded", "embedding", True, "d61667bd777727263cf3a330025a13abe33189bf24f27e3d13cdda2a527f4283",
+             "eval-rec", {"manifest.json": "74c601477436e870763243f8e8d254c8d47bc280cfa5350e15b8280c869adfd2"}),
+            ("bundled", "markov", False, "0a42debb6bcffc5b8fc5e3c46a7698fb011cb8f1574f3caad022a731e721bb61",
+             "rerank", {"manifest.json": "b1f3729715bb9d9376e3fff88fa5b00ce2578c7768a7969e1021d06ecd6cbbf0"}),
+            ("bundled", "markov", True, "0a42debb6bcffc5b8fc5e3c46a7698fb011cb8f1574f3caad022a731e721bb61",
+             "rerank", {"manifest.json": "6fdcd62c6717814b91fad64470b0225cf7c6fe990a938fe70f0e3890eb9b6bcb"}),
+            ("bundled", "embedding", True, "f489a99573b362f59506d5adb08d8255e56bb84c6e44edd97cca851f086c313f",
+             "rerank", {"manifest.json": "3f1c1f0199be2a7b5b5c18d57e1698aab774c38645882839d9750ee194515061"}),
+            ("seeded", "popularity", False, "289a8e610cb9eb6aa07f40ebc911373a8699e1e953c975702d4101d1039d0e54",
+             "rerank", {"manifest.json": "0972f65953fc904a0604a80a4adfc1d66a460f420898704968f1d4f570cd244d"}),
+            ("seeded", "markov", True, "94e11c87b2c5fb2e66b83dfbf51fd8c1f70c0b1c7b04818ad6122bfb4a3f63a0",
+             "rerank", {"manifest.json": "692683eaa661720e62bcfcbc37692196568541b2577d67eafcffc5ae840e2d9d"}),
+            ("replayed", None, False, "80d8539bebfe572a836754240134ccbf1119fb95a7d51793d7cfdf724677ca29",
+             "simulate", {"transcripts.jsonl": "4d8f31075853e5462645bc74028b38bc58084240457978471b0cea66c7112230",
+             "manifest.json": "c4bf9bd3c12647b6a4df5fe59ee72c5dda042c361ddb8a24ebb084c11d1dc328"}),
+            ("bundled", None, False, "9cca80cec2492bd6ff5da62959688838d8a67104b3e4f5a72097d79ea8c224bf",
+             "augment", {"failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
+             "manifest.json": "907228bcce65864e8864cf634ff1a05b6c03c134f02dd99acd6bafc487dcbc19"}),
         ],
     )
-    def test_reports_are_pinned(self, dataset, model, features, digest, seeded_dataset, tmp_path):
-        """Every model's report, with and without features (embedding needs them), is byte-stable."""
-        paths = seeded_dataset if dataset == "seeded" else {
-            "interactions": DATA_DIR / "interactions.jsonl", "features": DATA_DIR / "features.jsonl"
-        }
-        out = tmp_path / "run"
-        argv = ["eval-rec", "--interactions", paths["interactions"], "--model", model, "--out", out]
-        if features:
-            argv += ["--features", paths["features"]]
+    def test_reports_are_pinned(
+        self, dataset, model, features, digest, command, outputs, tmp_path, monkeypatch, request
+    ):
+        """Every ranker's report, with and without features (embedding needs them), is byte-stable,
+        and so is every file that rerank, simulate --replay and augment --replay write."""
+        sources = {
+            "bundled": lambda: {
+                name: DATA_DIR / f"{name}.jsonl" for name in ("interactions", "features", "feedback", "frame_scores")
+            },
+            "seeded": lambda: request.getfixturevalue("seeded_dataset"),
+            "replayed": lambda: dict(zip(("episodes", "replay"), request.getfixturevalue("replayed_episodes"))),
+        }[dataset]()
+        if command == "augment":
+            sources["replay"] = request.getfixturevalue("caption_replay")
+        names = {
+            "eval-rec": ["interactions"],
+            "rerank": ["interactions", "feedback"],
+            "simulate": ["episodes", "replay"],
+            "augment": ["interactions", "frame_scores", "replay"],
+        }[command] + ["features"] * features
+        argv = [command, "--out", "run"] + (["--model", model] if model else [])
+        for name in names:
+            shutil.copy(sources[name], tmp_path / f"{name}.jsonl")
+            argv += ["--" + name.replace("_", "-"), f"{name}.jsonl"]
+        monkeypatch.chdir(tmp_path)
         assert run(*argv) == 0
-        assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest
+        report = {"simulate": "metrics.json", "augment": "captions.jsonl"}.get(command, "report.json")
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (tmp_path / "run").iterdir()}
+        assert written == {report: digest, **outputs}
 
 
 @pytest.fixture(scope="module")
@@ -400,30 +449,36 @@ class TestTrainToyCommand:
         assert "curriculum_fraction must lie in [0, 1]" in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()
 
-    # SHA-256 of trace.jsonl, summary.json and the final W's bytes at --iters
-    # 500 --seed 1; a change to any of them must be named in CHANGES.md.
+    # SHA-256 of trace.jsonl, summary.json, the final W's bytes and manifest.json
+    # at --iters 500 --seed 1 --out run; a change to any of them must be named
+    # in CHANGES.md.
     @pytest.mark.parametrize(
-        "task,trace,summary,weights",
+        "task,trace,summary,weights,manifest",
         [
             ("selection", "c5b6983f610f2b5e3bb2759a1063fc1b3cde821a19388f4b19cb16871da77a4a",
              "17f56fad784687f769306e814e66901fad0c8065572bc304ac67079602287b37",
-             "d4ef753587c1f50d968b670800dd8d2b6094a64cdac3d917f74c9c0e9a5c245d"),
+             "d4ef753587c1f50d968b670800dd8d2b6094a64cdac3d917f74c9c0e9a5c245d",
+             "b59f490d22fa7b9515d25a09304f75abe99cbb17d51ac5c2534308d16a7621df"),
             ("judgment", "d935975c41d54a065668bdf13eb501ba26166cc657b074933f3e2bc6d5d48c3d",
              "09523aedc40bb960267d6cd9ae184dc8384f548dac146bbdc6a14d3046d276f9",
-             "157d4c1ae88297a0610bdf174c9362a6fc967523493a4438bbab4d93b536179b"),
+             "157d4c1ae88297a0610bdf174c9362a6fc967523493a4438bbab4d93b536179b",
+             "2aa98aa1a341537f1b696d0732c2aa0b27fb4136c0961375e1d4668c8154ba5e"),
             ("mixed", "a5209ae8786365e54697d87dd88054b385d58b285f411759f1eae3a974148296",
              "7165493a255c83f779f466dcc466f56bb191a3125746b2d3bd235e454add472f",
-             "35ca2441775a2e2e7e208b60abcbe743c1b57203b9bc29e81223542fc3822d64"),
+             "35ca2441775a2e2e7e208b60abcbe743c1b57203b9bc29e81223542fc3822d64",
+             "ef7c5022fdf5fa75b0373b4e66aa1e8e33915cb5abcf68b0bea2ebc24223fa23"),
         ],
     )
-    def test_outputs_are_pinned(self, task, trace, summary, weights, tmp_path):
+    def test_outputs_are_pinned(self, task, trace, summary, weights, manifest, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("train-toy", "--iters", 500, "--seed", 1, "--task", task, "--out", "run") == 0
         out = tmp_path / "run"
-        assert run("train-toy", "--iters", 500, "--seed", 1, "--task", task, "--out", out) == 0
         with np.load(out / "policy.npz") as policy:
             w = policy["W"].tobytes()
-        got = [hashlib.sha256(data).hexdigest()
-               for data in ((out / "trace.jsonl").read_bytes(), (out / "summary.json").read_bytes(), w)]
-        assert got == [trace, summary, weights]
+        got = [hashlib.sha256(data).hexdigest() for data in (
+            (out / "trace.jsonl").read_bytes(), (out / "summary.json").read_bytes(), w, (out / "manifest.json").read_bytes()
+        )]
+        assert got == [trace, summary, weights, manifest]
 
     def test_manifest_with_the_removed_curriculum_key_exits_2(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -528,7 +583,7 @@ def caption_replay(tmp_path_factory):
         batch_augment(
             catalog,
             DATA_DIR / "frame_scores.jsonl",
-            EndpointConfig(max_retries=0, backoff_base=0.0),
+            EndpointConfig(max_retries=0, backoff_base=0.0, max_in_flight=1),
             live,
             root / "scratch.jsonl",
         )
