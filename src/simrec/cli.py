@@ -6,10 +6,11 @@ an endpoint's behavior on exported episodes), ``train-toy`` (desk-scale
 grouped policy optimization), and ``rerank`` (before/after metrics around
 feedback augmentation).
 
-Every command resolves its settings as defaults < --config JSON < explicit
-flags, writes the resolved config plus input-file digests into
-``<out>/manifest.json``, and exits 0 on success, 2 on usage/input errors, and
-1 on internal errors.
+``main`` runs every command the same way: it resolves the settings as
+defaults < --config JSON < explicit flags, makes the output directory, runs
+the command, which returns the files it read, and writes the resolved config
+plus those files' digests into ``<out>/manifest.json``. It exits 0 on
+success, 2 on usage/input errors, and 1 on internal errors.
 
 Each command's settings are declared once, in ``_COMMANDS``: the table builds
 the argparse sub-parsers and the defaults, and checks every value read from a
@@ -99,13 +100,11 @@ def _write_json(path: Path, obj: object) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[str | Path]) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {
-            str(p): _sha256(Path(p)) for p in sorted(map(str, inputs)) if Path(p).is_file()
-        },
+        "inputs": {p: _sha256(Path(p)) for p in sorted(map(str, inputs))},
         "version": __version__,
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -217,23 +216,27 @@ def _ks(spec: str) -> tuple[int, ...]:
     return ks
 
 
+def _replay_inputs(resolved: dict) -> list[Path]:
+    """The replay file, when set: it decides every reply of the run."""
+    return [Path(resolved["replay"])] if resolved["replay"] else []
+
+
 def _load_catalog_histories(resolved: dict):
-    interactions = _require_file(resolved["interactions"], "interactions file")
-    catalog, histories = load_interactions(interactions)
-    if resolved.get("captions"):
-        catalog = attach_captions(catalog, _require_file(resolved["captions"], "captions file"))
-    if resolved.get("features"):
-        catalog = load_item_features(catalog, _require_file(resolved["features"], "features file"))
-    return catalog, histories, interactions
+    """The catalog (with any captions and features), the histories, and the files read."""
+    inputs = [_require_file(resolved["interactions"], "interactions file")]
+    catalog, histories = load_interactions(inputs[0])
+    for name, attach in (("captions", attach_captions), ("features", load_item_features)):
+        if resolved[name]:
+            inputs.append(_require_file(resolved[name], f"{name} file"))
+            catalog = attach(catalog, inputs[-1])
+    return catalog, histories, inputs
 
 
 # ---------------------------------------------------------------------------
 # augment
 # ---------------------------------------------------------------------------
 
-def cmd_augment(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
+def cmd_augment(resolved: dict, out: Path) -> list[Path]:
     interactions = _require_file(resolved["interactions"], "interactions file")
     frame_scores = _require_file(resolved["frame_scores"], "frame-scores file")
     catalog, _ = load_interactions(interactions)
@@ -250,20 +253,17 @@ def cmd_augment(args: argparse.Namespace) -> int:
             parallelism=cfg.max_in_flight,
         )
     _write_json(out / "failures.json", [{"item": i, "stage": s} for i, s in report.failures])
-    _write_manifest(out, "augment", resolved, [interactions, frame_scores])
     print(f"captions: {captions_path}")
     print(f"written: {report.written} skipped: {report.skipped} failed: {len(report.failures)}")
-    return 0
+    return [interactions, frame_scores, *_replay_inputs(resolved)]
 
 
 # ---------------------------------------------------------------------------
 # eval-rec
 # ---------------------------------------------------------------------------
 
-def cmd_eval_rec(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
-    catalog, histories, interactions = _load_catalog_histories(resolved)
+def cmd_eval_rec(resolved: dict, out: Path) -> list[Path]:
+    catalog, histories, inputs = _load_catalog_histories(resolved)
     ks = _ks(resolved["k"])
     slices = tuple(resolved["slice"].split(","))
     train_views = [h.training_view() for h in histories]
@@ -281,25 +281,17 @@ def cmd_eval_rec(args: argparse.Namespace) -> int:
         "random_baseline": {tag: rep.to_dict() for tag, rep in baseline_reports.items()},
     }
     _write_json(out / "report.json", payload)
-    _write_manifest(
-        out,
-        "eval-rec",
-        resolved,
-        [p for p in (interactions, resolved.get("captions"), resolved.get("features")) if p],
-    )
     for tag, rep in reports.items():
         for k in ks:
             print(f"{resolved['model']} [{tag}] HR@{k}={rep.hr[k]:.4f} NDCG@{k}={rep.ndcg[k]:.4f}")
-    return 0
+    return inputs
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
+def cmd_simulate(resolved: dict, out: Path) -> list[Path]:
     episodes_path = _require_file(resolved["episodes"], "episodes file")
     episodes = load_episodes(episodes_path)
     if resolved["task"]:
@@ -380,36 +372,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     write_jsonl(out / "transcripts.jsonl", transcripts)
     _write_json(out / "metrics.json", metrics)
-    _write_manifest(out, "simulate", resolved, [episodes_path])
     print(json.dumps(metrics, sort_keys=True))
-    return 0
+    return [episodes_path, *_replay_inputs(resolved)]
 
 
 # ---------------------------------------------------------------------------
 # train-toy
 # ---------------------------------------------------------------------------
 
-def cmd_train_toy(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
+def cmd_train_toy(resolved: dict, out: Path) -> list[Path]:
     iterations = resolved["iters"]
-    try:
-        grpo_cfg = GrpoConfig(**{o.name: resolved[o.name] for o in _GRPO})
-        switch = curriculum_switch_iteration(iterations, resolved["curriculum_fraction"])
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    # a ValueError from either is an input error, as main reports every ValueError
+    grpo_cfg = GrpoConfig(**{o.name: resolved[o.name] for o in _GRPO})
+    switch = curriculum_switch_iteration(iterations, resolved["curriculum_fraction"])
 
     task = resolved["task"]
 
     world, catalog, histories = generate_synthetic_world(
-        n_users=resolved["n_users"],
-        n_items=resolved["n_items"],
-        dim=resolved["dim"],
-        seed=resolved["world_seed"],
-        history_length=resolved["history_length"],
-        pool_size=resolved["pool_size"],
-        like_threshold=resolved["like_threshold"],
-        noise=resolved["noise"],
+        seed=resolved["world_seed"], **{o.name: resolved[o.name] for o in _WORLD}
     )
     env_cfg = EnvConfig(top_k=resolved["pool_size"], m=resolved["m"], seed=resolved["seed"])
     source = SyntheticEpisodeSource(world, catalog, histories, env_cfg, pool_size=resolved["pool_size"])
@@ -453,19 +433,16 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         "switch_iteration": switch if task == "mixed" else None,
     }
     _write_json(out / "summary.json", summary)
-    _write_manifest(out, "train-toy", resolved, [])
     print(json.dumps(summary, sort_keys=True))
-    return 0
+    return []
 
 
 # ---------------------------------------------------------------------------
 # rerank
 # ---------------------------------------------------------------------------
 
-def cmd_rerank(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
-    out = _out_dir(resolved)
-    catalog, histories, interactions = _load_catalog_histories(resolved)
+def cmd_rerank(resolved: dict, out: Path) -> list[Path]:
+    catalog, histories, inputs = _load_catalog_histories(resolved)
     feedback_path = _require_file(resolved["feedback"], "feedback file")
     feedback = load_feedback(feedback_path)
     ks = _ks(resolved["k"])
@@ -483,12 +460,11 @@ def cmd_rerank(args: argparse.Namespace) -> int:
         "after": {tag: rep.to_dict() for tag, rep in after.items()},
     }
     _write_json(out / "report.json", payload)
-    _write_manifest(out, "rerank", resolved, [interactions, feedback_path])
     for k in ks:
         print(
             f"HR@{k}: before={before['all'].hr[k]:.4f} after={after['all'].hr[k]:.4f}"
         )
-    return 0
+    return [*inputs, feedback_path]
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +490,21 @@ _MODEL_HELP = "model name sent with each request"
 _RANKERS = tuple(sorted(GENERATORS))
 _TASKS = ("judgment", "selection")
 
+# the generate_synthetic_world settings besides its seed, set through train-toy's --config
+_WORLD = (
+    _Option("n_users", int, 40, flag=False),
+    _Option("n_items", int, 300, flag=False),
+    _Option("dim", int, 8, flag=False),
+    _Option("history_length", tuple, 6, flag=False),
+    _Option("pool_size", int, 10, flag=False),
+    _Option("noise", float, 0.0, flag=False),
+    _Option("like_threshold", float, 0.0, flag=False),
+)
+
 # the GrpoConfig fields, set through train-toy's --config
 _GRPO = tuple(_Option(f.name, type(f.default), f.default, flag=False) for f in dataclasses.fields(GrpoConfig))
 
-# command -> (help, function, options); every command also takes --config and --out
+# command -> (help, function(resolved, out) -> files read, options); every command also takes --config and --out
 _COMMANDS = {
     "augment": ("caption items via the perception pipeline", cmd_augment, (
         *_paths("interactions", "frame_scores"),
@@ -545,14 +532,8 @@ _COMMANDS = {
         _Option("task", default="selection", choices=(*_TASKS, "mixed")),
         _Option("curriculum_fraction", float, 0.5),
         _Option("eval_episodes", int, 400),
-        _Option("n_users", int, 40, flag=False),
-        _Option("n_items", int, 300, flag=False),
-        _Option("dim", int, 8, flag=False),
         _Option("world_seed", int, 11, flag=False),
-        _Option("history_length", tuple, 6, flag=False),
-        _Option("pool_size", int, 10, flag=False),
-        _Option("noise", float, 0.0, flag=False),
-        _Option("like_threshold", float, 0.0, flag=False),
+        *_WORLD,
         _Option("m", int, 3),
         _Option("temperature", float, 2.5, flag=False),
         *_GRPO,
@@ -596,7 +577,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        resolved = _resolve(args)
+        out = _out_dir(resolved)
+        inputs = args.func(resolved, out)
+        _write_manifest(out, args.command, resolved, inputs)
+        return 0
     except (InputError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

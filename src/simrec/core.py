@@ -305,7 +305,11 @@ def load_interactions(path: str | Path) -> tuple[dict[ItemId, Item], list[UserHi
     def add(row: dict) -> None:
         user = str(row["user"])
         item = str(row["item"])
-        ordinal = int(row["ord"])
+        ordinal = row["ord"]
+        if type(ordinal) is not int:  # an integer string (TSV, or JSONL "3") converts; bool and float do not
+            if isinstance(ordinal, (bool, float)):
+                raise ValueError(f"ord must be an integer, got {json.dumps(ordinal)}")
+            ordinal = int(ordinal)
         if not user:
             raise ValueError("empty user id")
         if not item:

@@ -172,31 +172,27 @@ def make_episode(
     kind: str,
     cfg: EnvConfig,
     candidate_generator: CandidateSource | None = None,
-    judged_item: ItemId | None = None,
-    judged_label: str | None = None,
 ) -> Episode:
     """Build one episode from a real history.
 
     The profile uses behaviors 1..N-1 and the N-th behavior is the prediction
     target. Selection episodes need ``candidate_generator`` for the top-k
-    recall list. Judgment episodes default to the target item with truth
-    "like"; pass ``judged_item``/``judged_label`` to judge a sampled negative.
+    recall list. Judgment episodes judge the target item, with truth "like".
     """
     if len(history) < 2:
         raise ValueError(f"user {history.user!r}: episodes need at least 2 behaviors")
     profile_text = render_history(catalog, history.profile())
     target = history.target()
-    ep_seed = derive_seed(cfg.seed, history.user, kind)
 
     task: TaskKind
     if kind == "selection":
         if candidate_generator is None:
             raise ValueError("selection episodes require a candidate generator")
         top = candidate_generator.top_k(history.training_view(), cfg.top_k)
+        ep_seed = derive_seed(cfg.seed, history.user, kind)
         task = _selection(catalog, build_candidate_set(top, target.item, cfg.m, ep_seed))
     elif kind == "judgment":
-        item = target.item if judged_item is None else judged_item
-        task = Judgment(item=item, label="like" if judged_label is None else judged_label)
+        task = Judgment(item=target.item, label="like")
     else:
         raise ValueError(f"unknown episode kind {kind!r}")
     return _episode(history.user, profile_text, task, catalog)
@@ -220,9 +216,7 @@ def make_judgment_pair(
         raise ValueError(f"user {history.user!r}: no negative candidates available")
     rng = np.random.default_rng(derive_seed(cfg.seed, history.user, "judgment-negative"))
     negative = pool[int(rng.integers(len(pool)))]
-    dislike = make_episode(
-        history, catalog, "judgment", cfg, judged_item=negative, judged_label="dislike"
-    )
+    dislike = _episode(history.user, like.profile_text, Judgment(negative, "dislike"), catalog)
     return like, dislike
 
 

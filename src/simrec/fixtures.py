@@ -22,17 +22,10 @@ import numpy as np
 
 from .core import save_interactions, write_jsonl
 from .env import Episode, generate_synthetic_world
-from .ipagent import (
-    DEFAULT_CAPTION_MODEL,
-    FOCUS_PROMPT,
-    LIMIT_REMINDER,
-    PERCEPTION_PROMPT,
-    SUMMARY_PROMPT,
-)
+from .ipagent import FOCUS_PROMPT, LIMIT_REMINDER, PERCEPTION_PROMPT, SUMMARY_PROMPT
 from .llmclient import ChatMessage, ChatRequest, text_response
 
 SIM_MODEL = "user-sim"
-CAPTION_MODEL = DEFAULT_CAPTION_MODEL
 
 _TITLE_RE = re.compile(r"the title of the video is: (.*?)\. Pay special attention")
 

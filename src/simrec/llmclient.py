@@ -122,7 +122,9 @@ class HttpTransport(Transport):
         self.cfg = cfg
 
     def send(self, payload: dict) -> dict:
+        """The decoded JSON reply; an undecodable body is a ProtocolError, not retried."""
         # imported here, so that importing simrec does not load http.client, email and ssl
+        import http.client
         import urllib.error
         import urllib.request
 
@@ -136,13 +138,17 @@ class HttpTransport(Transport):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.cfg.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                body = response.read()
         except urllib.error.HTTPError as exc:
             if 400 <= exc.code < 500 and exc.code not in (408, 429):
                 raise PermanentTransportError(f"{url}: HTTP {exc.code}") from exc
             raise TransportError(f"{url}: HTTP {exc.code}") from exc
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
             raise TransportError(f"{url}: {exc}") from exc
+        try:
+            return json.loads(body.decode("utf-8"))
+        except ValueError as exc:  # also a UnicodeDecodeError
+            raise ProtocolError(f"{url}: reply is not UTF-8 JSON: {exc}") from exc
 
 
 class MockTransport(Transport):
@@ -296,7 +302,7 @@ def complete(
 
     Transport failures are retried up to ``cfg.max_retries`` times with
     exponential backoff, except a PermanentTransportError, which is raised at
-    once; a malformed success body raises ProtocolError.
+    once; an undecodable or malformed success body raises ProtocolError.
     """
     if transport is None:
         transport = HttpTransport(cfg)
@@ -305,7 +311,7 @@ def complete(
     for attempt in range(cfg.max_retries + 1):
         try:
             body = transport.send(payload)
-        except PermanentTransportError:
+        except (PermanentTransportError, ProtocolError):
             if stats is not None:
                 stats.record(attempt + 1)
             raise

@@ -70,7 +70,9 @@ class TestAugmentCommand:
         assert json.loads((out / "failures.json").read_text()) == []
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "augment"
-        assert len(manifest["inputs"]) == 2
+        assert set(manifest["inputs"]) == {
+            str(DATA_DIR / "interactions.jsonl"), str(DATA_DIR / "frame_scores.jsonl"), str(replay)
+        }
 
     def test_missing_frame_scores_exits_2(self, tmp_path):
         code = run(
@@ -266,19 +268,19 @@ class TestEvalRecCommand:
             ("bundled", "markov", False, "0a42debb6bcffc5b8fc5e3c46a7698fb011cb8f1574f3caad022a731e721bb61",
              "rerank", {"manifest.json": "b1f3729715bb9d9376e3fff88fa5b00ce2578c7768a7969e1021d06ecd6cbbf0"}),
             ("bundled", "markov", True, "0a42debb6bcffc5b8fc5e3c46a7698fb011cb8f1574f3caad022a731e721bb61",
-             "rerank", {"manifest.json": "6fdcd62c6717814b91fad64470b0225cf7c6fe990a938fe70f0e3890eb9b6bcb"}),
+             "rerank", {"manifest.json": "17e13cca62980491f84cec79a5f7c63d4196a7faa7219efef7bf9abe96056f29"}),
             ("bundled", "embedding", True, "f489a99573b362f59506d5adb08d8255e56bb84c6e44edd97cca851f086c313f",
-             "rerank", {"manifest.json": "3f1c1f0199be2a7b5b5c18d57e1698aab774c38645882839d9750ee194515061"}),
+             "rerank", {"manifest.json": "696675feeec5477d35e746def229c055478023a109e821feb27daf5b2a4d0a8e"}),
             ("seeded", "popularity", False, "289a8e610cb9eb6aa07f40ebc911373a8699e1e953c975702d4101d1039d0e54",
              "rerank", {"manifest.json": "0972f65953fc904a0604a80a4adfc1d66a460f420898704968f1d4f570cd244d"}),
             ("seeded", "markov", True, "94e11c87b2c5fb2e66b83dfbf51fd8c1f70c0b1c7b04818ad6122bfb4a3f63a0",
-             "rerank", {"manifest.json": "692683eaa661720e62bcfcbc37692196568541b2577d67eafcffc5ae840e2d9d"}),
+             "rerank", {"manifest.json": "56ba49eda6724587444a92fec09819e44ee4d25bfaed561de023734fdb1600d4"}),
             ("replayed", None, False, "80d8539bebfe572a836754240134ccbf1119fb95a7d51793d7cfdf724677ca29",
              "simulate", {"transcripts.jsonl": "4d8f31075853e5462645bc74028b38bc58084240457978471b0cea66c7112230",
-             "manifest.json": "c4bf9bd3c12647b6a4df5fe59ee72c5dda042c361ddb8a24ebb084c11d1dc328"}),
+             "manifest.json": "1147f65f77d63dad3b7d0b40b9e5845bc48edfc2127d125223216f2f491a01ca"}),
             ("bundled", None, False, "9cca80cec2492bd6ff5da62959688838d8a67104b3e4f5a72097d79ea8c224bf",
              "augment", {"failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
-             "manifest.json": "907228bcce65864e8864cf634ff1a05b6c03c134f02dd99acd6bafc487dcbc19"}),
+             "manifest.json": "2f86f828191d2ff156299a60852e8128020f283e09c1ab909654b0f592a388ac"}),
         ],
     )
     def test_reports_are_pinned(
@@ -371,6 +373,13 @@ class TestSimulateCommand:
         ) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert 0.15 <= metrics["selection_acc"]["3"] <= 0.35
+
+    def test_manifest_lists_the_replay_file(self, tmp_path, replayed_episodes):
+        episodes, replay = replayed_episodes
+        out = tmp_path / "run"
+        assert run("simulate", "--episodes", episodes, "--replay", replay, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {str(episodes), str(replay)}
 
     def test_missing_replay_and_endpoint_exits_2(self, tmp_path, episode_source):
         rng = np.random.default_rng(74)
@@ -543,6 +552,24 @@ class TestRerankCommand:
         ) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["after"]["all"]["hr"]["10"] >= report["before"]["all"]["hr"]["10"]
+
+    def test_manifest_lists_features_and_captions(self, tmp_path, bundled_catalog_histories):
+        catalog, _ = bundled_catalog_histories
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text(json.dumps({"item": min(catalog), "caption": "a short caption"}) + "\n")
+        out = tmp_path / "run"
+        assert run(
+            "rerank",
+            "--interactions", DATA_DIR / "interactions.jsonl",
+            "--feedback", DATA_DIR / "feedback.jsonl",
+            "--features", DATA_DIR / "features.jsonl",
+            "--captions", captions,
+            "--out", out,
+        ) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {
+            str(DATA_DIR / name) for name in ("interactions.jsonl", "feedback.jsonl", "features.jsonl")
+        } | {str(captions)}
 
     def test_malformed_feedback_row_exits_2(self, tmp_path):
         feedback = tmp_path / "feedback.jsonl"

@@ -94,6 +94,21 @@ class TestLoadInteractions:
         with pytest.raises(ValueError, match="duplicate ordinal"):
             load_interactions(path)
 
+    @pytest.mark.parametrize("ords", [(1.5, 2.2), (1, True), (1.9, True)], ids=["float", "bool", "float-bool"])
+    def test_non_integer_ord_rejected(self, tmp_path, ords):
+        path = tmp_path / "x.jsonl"
+        write_jsonl(path, [{"user": "u1", "item": item, "ord": o} for item, o in zip("ab", ords)])
+        bad = next(i for i, o in enumerate(ords, start=1) if type(o) is not int)
+        with pytest.raises(ValueError) as info:
+            load_interactions(path)
+        assert str(info.value) == f"{path}: line {bad}: ord must be an integer, got {json.dumps(ords[bad - 1])}"
+
+    def test_integer_string_ord_accepted(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        write_jsonl(path, [{"user": "u1", "item": "a", "ord": "2"}, {"user": "u1", "item": "b", "ord": 10}])
+        _, histories = load_interactions(path)
+        assert [b.timestamp for b in histories[0].behaviors] == [2, 10]
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text('{"user": "u1", "item": "a", "ord": 1}\nnot json\n')

@@ -1,3 +1,5 @@
+import http.client
+import io
 import json
 import os
 import subprocess
@@ -109,6 +111,38 @@ class TestComplete:
             complete(request(), cfg, transport=HttpTransport(cfg), sleep=sleeps.append)
         assert isinstance(info.value, PermanentTransportError) is not retried
         assert sleeps == ([0.5, 1.0] if retried else [])
+
+    @pytest.mark.parametrize("body", [b"not json", b"\xff\xfe{}"])
+    def test_undecodable_http_reply_fails_only_its_request(self, monkeypatch, body):
+        sent = []
+
+        def reply(req, timeout):
+            text = json.loads(req.data)["messages"][0]["content"]
+            sent.append(text)
+            return io.BytesIO(body if text == "bad" else json.dumps(text_response("ok")).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", reply)
+        stats = ClientStats()
+        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2, max_in_flight=1, backoff_base=0.0)
+        results = complete_batch(
+            [request(t) for t in ("a", "bad", "c")], cfg, transport=HttpTransport(cfg), stats=stats
+        )
+        assert results[0] == results[2] == "ok"
+        assert isinstance(results[1], ProtocolError)
+        assert sent == ["a", "bad", "c"]  # not retried
+        assert (stats.requests, stats.retries) == (3, 0)
+
+    def test_cut_off_http_reply_is_retried(self, monkeypatch):
+        class CutOff(io.BytesIO):
+            def read(self, *args):
+                raise http.client.IncompleteRead(b'{"cho', 40)
+
+        replies = [CutOff(), io.BytesIO(json.dumps(text_response("ok")).encode())]
+        monkeypatch.setattr(urllib.request, "urlopen", lambda req, timeout: replies.pop(0))
+        sleeps = []
+        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2, backoff_base=0.5)
+        assert complete(request(), cfg, transport=HttpTransport(cfg), sleep=sleeps.append) == "ok"
+        assert sleeps == [0.5]
 
     def test_empty_choices_is_protocol_error(self):
         transport = MockTransport(script=[{"choices": []}])
