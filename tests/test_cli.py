@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -15,7 +16,7 @@ from simrec.fixtures import (
     simulation_request,
     write_synthetic_dataset,
 )
-from simrec.llmclient import EndpointConfig, MockTransport, RecordingTransport, complete_batch
+from simrec.llmclient import EndpointConfig, MockTransport, RecordingTransport, complete_batch, text_response
 from conftest import DATA_DIR
 
 
@@ -278,6 +279,9 @@ class TestEvalRecCommand:
             ("replayed", None, False, "80d8539bebfe572a836754240134ccbf1119fb95a7d51793d7cfdf724677ca29",
              "simulate", {"transcripts.jsonl": "4d8f31075853e5462645bc74028b38bc58084240457978471b0cea66c7112230",
              "manifest.json": "1147f65f77d63dad3b7d0b40b9e5845bc48edfc2127d125223216f2f491a01ca"}),
+            ("messy", None, False, "74756b903a74462b7a59baaa579b9b3fa7b10e081445d2927000a8d0a722bb5e",
+             "simulate", {"transcripts.jsonl": "f1b157e7fb1767f544a3a3591360e1e402054a8394d21d5497e8501f1b0d1903",
+             "manifest.json": "b3327ab82b8d4c8e19a3f4daa92d1c60b81b731e6ec4a7935c1a35e7ab6c93a7"}),
             ("bundled", None, False, "9cca80cec2492bd6ff5da62959688838d8a67104b3e4f5a72097d79ea8c224bf",
              "augment", {"failures.json": "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570",
              "manifest.json": "2f86f828191d2ff156299a60852e8128020f283e09c1ab909654b0f592a388ac"}),
@@ -287,13 +291,15 @@ class TestEvalRecCommand:
         self, dataset, model, features, digest, command, outputs, tmp_path, monkeypatch, request
     ):
         """Every ranker's report, with and without features (embedding needs them), is byte-stable,
-        and so is every file that rerank, simulate --replay and augment --replay write."""
+        and so is every file that rerank, simulate --replay (answered perfectly, and messily with
+        one failed request) and augment --replay write."""
         sources = {
             "bundled": lambda: {
                 name: DATA_DIR / f"{name}.jsonl" for name in ("interactions", "features", "feedback", "frame_scores")
             },
             "seeded": lambda: request.getfixturevalue("seeded_dataset"),
             "replayed": lambda: dict(zip(("episodes", "replay"), request.getfixturevalue("replayed_episodes"))),
+            "messy": lambda: dict(zip(("episodes", "replay"), request.getfixturevalue("messy_replay"))),
         }[dataset]()
         if command == "augment":
             sources["replay"] = request.getfixturevalue("caption_replay")
@@ -596,6 +602,54 @@ def replayed_episodes(tmp_path_factory, episode_source):
     episodes = [episode_source.sample(rng, kind) for kind in ("selection", "judgment") * 5]
     export_episodes(episodes, root / "episodes.jsonl")
     record_simulation(episodes, make_perfect_responder(episodes), root / "replay.jsonl")
+    return root / "episodes.jsonl", root / "replay.jsonl"
+
+
+def make_messy_responder(episodes):
+    """Cycles, by each prompt's place in ``episodes``, through a correct index, a
+    wrong index, an out-of-range index, a candidate's caption, "No", a reply
+    without tags and an empty answer; a judgment reads "correct"/"wrong" as
+    Yes/No and "caption" as its item id."""
+    places = {ep.prompt: (place, ep) for place, ep in enumerate(episodes)}
+
+    def responder(payload):
+        place, ep = places[payload["messages"][-1]["content"]]
+        task, truth = ep.task, ep.truth
+        size = task.candidates.size if hasattr(task, "candidates") else 2
+        correct = str(truth) if isinstance(truth, int) else ("Yes" if truth == "like" else "No")
+        wrong = str(truth % size + 1) if isinstance(truth, int) else ("No" if truth == "like" else "Yes")
+        caption = task.captions[-1] if hasattr(task, "candidates") else task.item
+        answers = [correct, wrong, str(size + 1), caption, "No"]
+        if place % 7 < 5:
+            text = f"<think>(1) User_status: browsing</think><answer>(2) Next_video: {answers[place % 7]}</answer>"
+        else:
+            text = "I would pick the first one" if place % 7 == 5 else "<think>unsure</think><answer></answer>"
+        return text_response(text)
+
+    return responder
+
+
+@pytest.fixture(scope="module")
+def messy_replay(tmp_path_factory):
+    """Selection (m=3 and m=1) and judgment episodes, answered by the messy responder,
+    with one recorded reply deleted so that its request fails."""
+    root = tmp_path_factory.mktemp("messy")
+    world, catalog, histories = generate_synthetic_world(
+        n_users=20, n_items=80, dim=6, seed=23, history_length=5, pool_size=10
+    )
+    # captions without digits, so that a caption answer is matched as text, not as an index
+    letters = str.maketrans("0123456789", "abcdefghij")
+    catalog = {iid: dataclasses.replace(item, enhanced_caption=f"clip {iid.translate(letters)}")
+               for iid, item in catalog.items()}
+    sources = [SyntheticEpisodeSource(world, catalog, histories, EnvConfig(top_k=10, m=m, seed=5)) for m in (3, 1)]
+    rng = np.random.default_rng(78)
+    episodes = []
+    for _ in range(7):  # 21 episodes: every answer of the 7-cycle meets every kind of the 3-cycle
+        episodes += [sources[0].sample(rng, "selection"), sources[0].sample(rng, "judgment"), sources[1].sample(rng, "selection")]
+    export_episodes(episodes, root / "episodes.jsonl")
+    record_simulation(episodes, make_messy_responder(episodes), root / "replay.jsonl")
+    rows = (root / "replay.jsonl").read_text().splitlines(keepends=True)
+    (root / "replay.jsonl").write_text("".join(rows[:4] + rows[5:]))
     return root / "episodes.jsonl", root / "replay.jsonl"
 
 
