@@ -57,6 +57,7 @@ from .rewards import (
     format_reward,
     judgment_reward,
     parse_response,
+    score_parsed,
     selection_reward,
     total_reward,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "format_reward",
     "judgment_reward",
     "parse_response",
+    "score_parsed",
     "selection_reward",
     "total_reward",
 ]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .core import Judgment, Selection, attach_captions, load_interactions, write_jsonl
-from .env import EnvConfig, SyntheticEpisodeSource, derive_seed, generate_synthetic_world, load_episodes
+from .env import EnvConfig, Episode, SyntheticEpisodeSource, derive_seed, generate_synthetic_world, load_episodes
 from .grpo import (
     GrpoConfig,
     ToySoftmaxPolicy,
@@ -53,7 +53,6 @@ from .llmclient import (
 )
 from .recommender import (
     GENERATORS,
-    MetricReport,
     RandomGenerator,
     augment_with_feedback,
     classification_metrics,
@@ -61,7 +60,7 @@ from .recommender import (
     load_feedback,
     load_item_features,
 )
-from .rewards import Select, Verdict, parse_response, total_reward
+from .rewards import parse_response, score_parsed
 
 
 class InputError(ValueError):
@@ -291,6 +290,46 @@ def cmd_eval_rec(resolved: dict, out: Path) -> list[Path]:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _transcript_row(episode: Episode, reply: str | ClientError) -> dict:
+    """One transcripts.jsonl row: the reply parsed once, its action and its rewards."""
+    text = reply if isinstance(reply, str) else ""
+    parsed = parse_response(text, episode.task)
+    breakdown = score_parsed(parsed, episode.task, episode.truth)
+    return {
+        "user": episode.user,
+        "task": "judgment" if isinstance(episode.task, Judgment) else "selection",
+        "truth": episode.truth,
+        "response": text if isinstance(reply, str) else f"<error: {reply}>",
+        "action": parsed.action,
+        "r_format": breakdown.r_format,
+        "r_task": breakdown.r_task,
+        "total": breakdown.total,
+    }
+
+
+def _simulation_metrics(episodes: list[Episode], rows: list[dict]) -> dict:
+    """metrics.json: rewards over every row, classification over judgment rows,
+    and selection accuracy per candidate count m (the episodes give m)."""
+    metrics: dict = {
+        "n_episodes": len(rows),
+        "mean_total_reward": float(np.mean([row["total"] for row in rows])),
+        "slice": "all",
+        "n_users": len({row["user"] for row in rows}),
+    }
+    judged = [row for row in rows if row["task"] == "judgment"]
+    if judged:
+        predictions = ["like" if row["action"] == "yes" else "dislike" for row in judged]
+        metrics.update(classification_metrics(predictions, [row["truth"] for row in judged])._asdict())
+        metrics["parse_failures"] = sum(row["action"] is None for row in judged)
+    hits: dict[int, list[bool]] = {}
+    for episode, row in zip(episodes, rows):
+        if row["task"] == "selection":
+            hits.setdefault(episode.task.candidates.size - 1, []).append(row["action"] == row["truth"])
+    if hits:
+        metrics["selection_acc"] = {str(m): float(np.mean(h)) for m, h in sorted(hits.items())}
+    return metrics
+
+
 def cmd_simulate(resolved: dict, out: Path) -> list[Path]:
     episodes_path = _require_file(resolved["episodes"], "episodes file")
     episodes = load_episodes(episodes_path)
@@ -315,61 +354,8 @@ def cmd_simulate(resolved: dict, out: Path) -> list[Path]:
     with _transport(resolved, cfg) as transport:
         replies = complete_batch(requests, cfg, transport=transport)
 
-    transcripts = []
-    judgment_preds: list[str] = []
-    judgment_truths: list[str] = []
-    parse_failures = 0
-    selection_hits: dict[int, list[int]] = {}
-    totals = []
-    for episode, reply in zip(episodes, replies):
-        text = reply if isinstance(reply, str) else ""
-        parsed = parse_response(text, episode.task)
-        breakdown = total_reward(text, episode.task, episode.truth)
-        totals.append(breakdown.total)
-        action: str | int | None
-        if isinstance(parsed.action, Verdict):
-            action = parsed.action.value
-        elif isinstance(parsed.action, Select):
-            action = parsed.action.index
-        else:
-            action = None
-        if isinstance(episode.task, Judgment):
-            if parsed.action is None:
-                parse_failures += 1
-            judgment_preds.append("like" if parsed.action is Verdict.YES else "dislike")
-            judgment_truths.append(str(episode.truth))
-        else:
-            m_here = episode.task.candidates.size - 1
-            selection_hits.setdefault(m_here, []).append(
-                int(isinstance(parsed.action, Select) and parsed.action.index == episode.truth)
-            )
-        transcripts.append(
-            {
-                "user": episode.user,
-                "task": "judgment" if isinstance(episode.task, Judgment) else "selection",
-                "truth": episode.truth,
-                "response": text if isinstance(reply, str) else f"<error: {reply}>",
-                "action": action,
-                "r_format": breakdown.r_format,
-                "r_task": breakdown.r_task,
-                "total": breakdown.total,
-            }
-        )
-
-    report = MetricReport(slice_tag="all", n_users=len({ep.user for ep in episodes}))
-    if judgment_truths:
-        cls = classification_metrics(judgment_preds, judgment_truths)
-        report.acc, report.precision, report.recall, report.f1 = cls
-    if selection_hits:
-        report.selection_acc = {m: float(np.mean(hits)) for m, hits in sorted(selection_hits.items())}
-    metrics: dict = {
-        "n_episodes": len(episodes),
-        "mean_total_reward": float(np.mean(totals)),
-        **report.to_dict(),
-    }
-    if judgment_truths:
-        metrics["parse_failures"] = parse_failures
-
+    transcripts = [_transcript_row(episode, reply) for episode, reply in zip(episodes, replies)]
+    metrics = _simulation_metrics(episodes, transcripts)
     write_jsonl(out / "transcripts.jsonl", transcripts)
     _write_json(out / "metrics.json", metrics)
     print(json.dumps(metrics, sort_keys=True))

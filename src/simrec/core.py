@@ -374,7 +374,8 @@ def attach_captions(catalog: dict[ItemId, Item], captions: str | Path) -> dict[I
     """Attach enhanced captions from a captions JSONL file.
 
     Rows are {"item": str, "caption": str}. Unknown item ids and invalid
-    captions (empty, over the word cap) are skipped with a warning; they are
+    captions (missing, not a string, empty, over the word cap) are skipped
+    with a warning, and the item keeps any caption it had; they are
     not fatal. Returns a new catalog; the input is unchanged.
     """
     updated = dict(catalog)
@@ -388,6 +389,8 @@ def attach_captions(catalog: dict[ItemId, Item], captions: str | Path) -> dict[I
             logger.warning("%s: line %d: caption for unknown item %r", captions, lineno, item_id)
             continue
         try:
+            if not isinstance(caption, str):  # missing or null would clear the caption
+                raise TypeError(f"caption must be a string, got {caption!r}")
             updated[item_id] = replace(updated[item_id], enhanced_caption=caption)
         except (ValueError, TypeError) as exc:
             rejected += 1

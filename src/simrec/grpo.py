@@ -22,16 +22,15 @@ analytic gradient checked against finite differences.
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ItemId, Judgment, Selection, UserId, _encode_sorted
-from .env import Episode
+from .core import Judgment, Selection, _encode_sorted
+from .env import Episode, SyntheticEpisodeSource, SyntheticWorld
 from .rewards import total_reward
 
 
@@ -57,26 +56,6 @@ class GrpoConfig:
             raise ValueError("learning_rate must be non-negative")
         if self.std_floor <= 0.0:
             raise ValueError("std_floor must be positive")
-
-
-class Policy(ABC):
-    """A differentiable policy over the A actions of an episode."""
-
-    @abstractmethod
-    def parameters(self) -> np.ndarray:
-        """Flat copy of the current parameter vector, shape (P,)."""
-
-    @abstractmethod
-    def set_parameters(self, theta: np.ndarray) -> None:
-        """Replace the current parameters with the flat vector ``theta``."""
-
-    @abstractmethod
-    def log_probs(self, episode: Episode, theta: np.ndarray | None = None) -> np.ndarray:
-        """Log-probabilities of every action, shape (A,), under ``theta`` (default: current)."""
-
-    @abstractmethod
-    def log_prob_gradients(self, episode: Episode) -> np.ndarray:
-        """Gradient of every action's log-probability at the current parameters, shape (A, P)."""
 
 
 @dataclass
@@ -179,17 +158,12 @@ def objective_gradient(group: RolloutGroup, cfg: GrpoConfig, grads: np.ndarray) 
 # ---------------------------------------------------------------------------
 
 
-class VectorLookup(Protocol):
-    def user_vector(self, user: UserId) -> np.ndarray: ...
-    def item_vector(self, item: ItemId) -> np.ndarray: ...
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.maximum.reduce(logits)
     return shifted - math.log(np.add.reduce(np.exp(shifted)))
 
 
-class ToySoftmaxPolicy(Policy):
+class ToySoftmaxPolicy:
     """Bilinear softmax policy over episode candidates.
 
     Selection episodes score each candidate k as u·W·v_k / tau and sample from
@@ -201,7 +175,7 @@ class ToySoftmaxPolicy(Policy):
 
     def __init__(
         self,
-        vectors: VectorLookup,
+        vectors: SyntheticWorld,
         dim: int,
         temperature: float = 2.5,
         weights: np.ndarray | None = None,
@@ -247,10 +221,12 @@ class ToySoftmaxPolicy(Policy):
         self.W = np.array(theta, dtype=float).reshape(self.dim, self.dim)
 
     def log_probs(self, episode: Episode, theta: np.ndarray | None = None) -> np.ndarray:
+        """Log-probabilities of every action, shape (A,), under ``theta`` (default: current)."""
         weights = self.W if theta is None else np.asarray(theta, dtype=float).reshape(self.dim, self.dim)
         return _log_softmax(self._logits(episode, *self._episode_vectors(episode), weights))
 
     def log_prob_gradients(self, episode: Episode) -> np.ndarray:
+        """Gradient of every action's log-probability at the current weights, shape (A, dim*dim)."""
         u, v = self._episode_vectors(episode)
         probs = np.exp(_log_softmax(self._logits(episode, u, v, self.W)))
         if isinstance(episode.task, Judgment):
@@ -285,10 +261,6 @@ def truth_token(episode: Episode) -> int:
 # ---------------------------------------------------------------------------
 
 
-class EpisodeSource(Protocol):
-    def sample(self, rng: np.random.Generator, kind: str) -> Episode: ...
-
-
 def curriculum_switch_iteration(iterations: int, fraction: float) -> int:
     """First iteration at which mixed tasks replace judgment-only training."""
     if not 0.0 <= fraction <= 1.0:  # NaN fails both comparisons
@@ -297,8 +269,8 @@ def curriculum_switch_iteration(iterations: int, fraction: float) -> int:
 
 
 def train(
-    source: EpisodeSource,
-    policy: Policy,
+    source: SyntheticEpisodeSource,
+    policy: ToySoftmaxPolicy,
     cfg: GrpoConfig,
     iterations: int,
     seed: int,
@@ -374,7 +346,7 @@ def train(
     return trace
 
 
-def evaluate_policy(policy: Policy, episodes: Sequence[Episode]) -> float:
+def evaluate_policy(policy: ToySoftmaxPolicy, episodes: Sequence[Episode]) -> float:
     """Greedy-action accuracy of a policy over held-out episodes."""
     if not episodes:
         raise ValueError("need at least one evaluation episode")

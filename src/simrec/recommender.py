@@ -309,43 +309,24 @@ COLD_MAX_TRAIN_INTERACTIONS = 5
 
 @dataclass
 class MetricReport:
-    """Ranking and classification metrics for one user slice."""
+    """Ranking metrics for one user slice."""
 
     slice_tag: str = "all"
     n_users: int = 0
     hr: dict[int, float] = field(default_factory=dict)
     ndcg: dict[int, float] = field(default_factory=dict)
-    acc: float | None = None
-    precision: float | None = None
-    recall: float | None = None
-    f1: float | None = None
-    selection_acc: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name, values in (("hr", self.hr), ("ndcg", self.ndcg), ("selection_acc", self.selection_acc)):
+        for name, values in (("hr", self.hr), ("ndcg", self.ndcg)):
             for k, val in values.items():
                 if not 0.0 <= val <= 1.0:
                     raise ValueError(f"{name}@{k} must lie in [0, 1], got {val}")
-        for name, val in (
-            ("acc", self.acc),
-            ("precision", self.precision),
-            ("recall", self.recall),
-            ("f1", self.f1),
-        ):
-            if val is not None and not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
 
     def to_dict(self) -> dict:
         out: dict = {"slice": self.slice_tag, "n_users": self.n_users}
         if self.hr:
             out["hr"] = {str(k): v for k, v in sorted(self.hr.items())}
             out["ndcg"] = {str(k): v for k, v in sorted(self.ndcg.items())}
-        for name in ("acc", "precision", "recall", "f1"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        if self.selection_acc:
-            out["selection_acc"] = {str(m): v for m, v in sorted(self.selection_acc.items())}
         return out
 
 
@@ -506,18 +487,21 @@ def load_item_features(catalog: dict[ItemId, Item], path: str | Path) -> dict[It
     warning, so they never become ranking candidates. A repeated JSONL item, a
     ``vec`` that is not a list, one with an entry that is not a JSON number
     (a bool or a string, say), and one whose length differs from the first
-    row's are each a ValueError naming the path and line; a .npz vector whose
-    length differs from the first one's is a ValueError naming the path and
-    item. Returns a new catalog.
+    row's are each a ValueError naming the path and line; a .npz vector that
+    is not 1-D, or whose length differs from the first one's, is a ValueError
+    naming the path and item. Returns a new catalog.
     """
     path = Path(path)
     if path.suffix == ".npz":
         with np.load(path) as data:
-            vectors = {item_id: tuple(float(x) for x in data[item_id]) for item_id in data.files}
-        first = len(next(iter(vectors.values()), ()))
-        for item_id, vec in vectors.items():
-            if len(vec) != first:
-                raise ValueError(f"{path}: item {item_id!r}: vec has {len(vec)} entries, the first item's has {first}")
+            arrays = {item_id: data[item_id] for item_id in data.files}
+        first = next(iter(arrays.values()), np.empty(0)).size
+        for item_id, vec in arrays.items():
+            if vec.ndim != 1:
+                raise ValueError(f"{path}: item {item_id!r}: vec must be 1-D, got shape {vec.shape}")
+            if vec.size != first:
+                raise ValueError(f"{path}: item {item_id!r}: vec has {vec.size} entries, the first item's has {first}")
+        vectors = {item_id: tuple(float(x) for x in vec) for item_id, vec in arrays.items()}
     else:
         dim: int | None = None  # the first row's length
 

@@ -5,10 +5,13 @@ Agent responses follow the two-tag transcript convention::
     <think> reasoning, including "(1) User_status: ..." </think>
     <answer> the final answer, e.g. "(2) Next_video: 3" or "Yes" </answer>
 
-``parse_response`` decomposes any text into the tag spans and a legal action;
-the reward functions score format compliance and task correctness from finite
-score tables, and ``total_reward`` composes them. All functions are pure and
-never raise on arbitrary input text.
+``parse_response`` decomposes any text into the tag spans and a legal action:
+``"yes"``/``"no"`` for a judgment, a 1-based candidate index (an ``int``) for
+a selection, or ``None`` when no legal action parses. The reward functions
+score format compliance and task correctness from finite score tables,
+``score_parsed`` composes them for a parsed response, and ``total_reward``
+parses and scores raw text. All functions are pure and never raise on
+arbitrary input text.
 
 Score tables:
 
@@ -21,7 +24,6 @@ Score tables:
 
 from __future__ import annotations
 
-import enum
 import re
 from dataclasses import dataclass
 
@@ -36,32 +38,19 @@ _NEXT_VIDEO_RE = re.compile(r"next[_\s]?video\s*:?", re.IGNORECASE)
 _INT_RE = re.compile(r"[-+]?\d+")
 
 
-class Verdict(enum.Enum):
-    """Judgment-task actions."""
-
-    YES = "yes"
-    NO = "no"
-
-
-@dataclass(frozen=True)
-class Select:
-    """Selection-task action: a 1-based candidate index."""
-
-    index: int
-
-
-Action = Verdict | Select
-
-
 @dataclass(frozen=True)
 class ParsedResponse:
-    """Structured decomposition of one agent transcript."""
+    """Structured decomposition of one agent transcript.
+
+    ``action`` is "yes"/"no" for a judgment, a 1-based candidate index for a
+    selection, and None when no legal action parses.
+    """
 
     think_text: str | None
     answer_text: str | None
     user_status: str | None
     tag_order_ok: bool
-    action: Action | None
+    action: str | int | None
 
 
 @dataclass(frozen=True)
@@ -76,14 +65,12 @@ class RewardBreakdown:
         return self.r_format + self.r_task
 
 
-def _parse_judgment_action(answer: str) -> Verdict | None:
+def _parse_judgment_action(answer: str) -> str | None:
     match = _YES_NO_RE.search(answer)
-    if match is None:
-        return None
-    return Verdict.YES if match.group(1).lower() == "yes" else Verdict.NO
+    return None if match is None else match.group(1).lower()
 
 
-def _parse_selection_action(answer: str, task: Selection) -> Select | None:
+def _parse_selection_action(answer: str, task: Selection) -> int | None:
     # The "(2)" in the response template is a list marker, not the answer.
     prefix = _ENUM_PREFIX_RE.match(answer)
     body = answer[prefix.end():] if prefix is not None else answer
@@ -94,7 +81,7 @@ def _parse_selection_action(answer: str, task: Selection) -> Select | None:
     int_match = _INT_RE.search(body)
     if int_match is not None:
         index = int(int_match.group(0))
-        return Select(index) if 1 <= index <= size else None
+        return index if 1 <= index <= size else None
     # No integer: fall back to an exact candidate-text match.
     needle = body.strip().casefold()
     if not needle:
@@ -102,10 +89,10 @@ def _parse_selection_action(answer: str, task: Selection) -> Select | None:
     if task.captions is not None:
         for pos, caption in enumerate(task.captions, start=1):
             if caption.strip().casefold() == needle:
-                return Select(pos)
+                return pos
     for pos, item_id in enumerate(task.candidates.presentation_order, start=1):
         if item_id.casefold() == needle:
-            return Select(pos)
+            return pos
     return None
 
 
@@ -118,7 +105,7 @@ def parse_response(raw: str, task: TaskKind) -> ParsedResponse:
     think = _THINK_RE.search(raw)
     answer = _ANSWER_RE.search(raw)
     think_text = answer_text = user_status = None
-    action: Action | None = None
+    action: str | int | None = None
     tag_order_ok = False
 
     if think is not None:
@@ -162,9 +149,9 @@ def judgment_reward(parsed: ParsedResponse, truth: str) -> float:
     """+1 when the Yes/No action matches the like/dislike truth, else -1."""
     if truth not in ("like", "dislike"):
         raise ValueError(f"judgment truth must be like/dislike, got {truth!r}")
-    if not isinstance(parsed.action, Verdict):
+    if parsed.action not in ("yes", "no"):
         return -1.0
-    predicted = "like" if parsed.action is Verdict.YES else "dislike"
+    predicted = "like" if parsed.action == "yes" else "dislike"
     return 1.0 if predicted == truth else -1.0
 
 
@@ -177,22 +164,24 @@ def selection_reward(
     ``parse_response`` already rejects out-of-range indices, so the bound here
     only matters for hand-built actions.
     """
-    if not isinstance(parsed.action, Select):
-        return -2.0
-    index = parsed.action.index
-    if index < 1 or (n_candidates is not None and index > n_candidates):
+    index = parsed.action
+    # type(...) is int, so that a bool is not an index
+    if type(index) is not int or index < 1 or (n_candidates is not None and index > n_candidates):
         return -2.0
     if index == truth_index:
         return 2.0
     return -1.5
 
 
-def total_reward(raw: str, task: TaskKind, truth: str | int) -> RewardBreakdown:
-    """Parse ``raw`` and compose format + task rewards for the given task."""
-    parsed = parse_response(raw, task)
-    r_format = format_reward(parsed)
+def score_parsed(parsed: ParsedResponse, task: TaskKind, truth: str | int) -> RewardBreakdown:
+    """Compose format + task rewards of a response parsed for ``task``."""
     if isinstance(task, Judgment):
         r_task = judgment_reward(parsed, str(truth))
     else:
         r_task = selection_reward(parsed, int(truth), n_candidates=task.candidates.size)
-    return RewardBreakdown(r_format=r_format, r_task=r_task)
+    return RewardBreakdown(r_format=format_reward(parsed), r_task=r_task)
+
+
+def total_reward(raw: str, task: TaskKind, truth: str | int) -> RewardBreakdown:
+    """Parse ``raw`` and compose format + task rewards for the given task."""
+    return score_parsed(parse_response(raw, task), task, truth)

@@ -643,9 +643,9 @@ def messy_replay(tmp_path_factory):
                for iid, item in catalog.items()}
     sources = [SyntheticEpisodeSource(world, catalog, histories, EnvConfig(top_k=10, m=m, seed=5)) for m in (3, 1)]
     rng = np.random.default_rng(78)
-    episodes = []
-    for _ in range(7):  # 21 episodes: every answer of the 7-cycle meets every kind of the 3-cycle
-        episodes += [sources[0].sample(rng, "selection"), sources[0].sample(rng, "judgment"), sources[1].sample(rng, "selection")]
+    draws = [(sources[0], "selection"), (sources[0], "judgment"), (sources[1], "selection")]
+    # 21 episodes: every answer of the 7-cycle meets every kind of the 3-cycle
+    episodes = [source.sample(rng, kind) for _ in range(7) for source, kind in draws]
     export_episodes(episodes, root / "episodes.jsonl")
     record_simulation(episodes, make_messy_responder(episodes), root / "replay.jsonl")
     rows = (root / "replay.jsonl").read_text().splitlines(keepends=True)

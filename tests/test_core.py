@@ -179,13 +179,17 @@ class TestAttachCaptions:
         assert f"{path}: line 1: caption for unknown item 'zz'" in caplog.text
 
     def test_empty_caption_rejected(self, tmp_path, caplog):
-        catalog = {"a": Item(id="a", title="t")}
+        # a blank, null, missing or non-string caption is rejected, and an existing caption stays
+        catalog = {"a": Item(id="a", title="t", enhanced_caption="kept")}
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [{"item": "a", "caption": "   "}])
+        rows = [{"caption": "   "}, {"caption": None}, {}, {"caption": 123}]
+        write_jsonl(path, [{"item": "a", **row} for row in rows])
         with caplog.at_level(logging.WARNING):
             updated = attach_captions(catalog, path)
-        assert updated["a"].enhanced_caption is None
-        assert f"{path}: line 1: rejected caption for 'a'" in caplog.text
+        assert updated["a"].enhanced_caption == "kept"
+        for lineno in range(1, 5):
+            assert f"{path}: line {lineno}: rejected caption for 'a'" in caplog.text
+        assert "0 unknown item(s), 4 rejected row(s)" in caplog.text
 
     def test_unreadable_file_errors(self):
         with pytest.raises(OSError):

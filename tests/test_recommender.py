@@ -466,12 +466,21 @@ class TestFeatureAndFeedbackFiles:
         catalog = load_item_features(catalog_of("A"), path)
         assert catalog["A"].feature == (1.0, 2.0)
 
-    def test_load_item_features_npz_rejects_mixed_lengths(self, tmp_path):
+    @pytest.mark.parametrize(
+        "arrays, message",
+        [
+            ({"A": [1.0, 2.0], "B": [1.0]}, "item 'B': vec has 1 entries, the first item's has 2"),
+            ({"A": 1.0}, "item 'A': vec must be 1-D, got shape ()"),
+            ({"A": [[1.0, 2.0], [3.0, 4.0]]}, "item 'A': vec must be 1-D, got shape (2, 2)"),
+        ],
+        ids=["mixed lengths", "0-d", "2-d"],
+    )
+    def test_load_item_features_npz_rejects_mixed_lengths(self, arrays, message, tmp_path):
         path = tmp_path / "v.npz"
-        np.savez(path, A=np.array([1.0, 2.0]), B=np.array([1.0]))
+        np.savez(path, **{item: np.array(vec) for item, vec in arrays.items()})
         with pytest.raises(ValueError) as info:
             load_item_features(catalog_of("A", "B"), path)
-        assert str(info.value) == f"{path}: item 'B': vec has 1 entries, the first item's has 2"
+        assert str(info.value) == f"{path}: {message}"
 
 
 def test_metric_report_rejects_out_of_range():
@@ -481,5 +490,3 @@ def test_metric_report_rejects_out_of_range():
 
     with _pytest.raises(ValueError, match="hr@10"):
         MetricReport(slice_tag="all", n_users=1, hr={10: 1.2}, ndcg={10: 0.5})
-    with _pytest.raises(ValueError, match="acc"):
-        MetricReport(slice_tag="all", n_users=1, acc=-0.1)

@@ -9,11 +9,10 @@ from simrec.core import CandidateSet, Judgment, Selection
 from simrec.rewards import (
     _ENUM_PREFIX_RE,
     ParsedResponse,
-    Select,
-    Verdict,
     format_reward,
     judgment_reward,
     parse_response,
+    score_parsed,
     selection_reward,
     total_reward,
 )
@@ -37,13 +36,13 @@ class TestParseResponse:
     def test_well_formed_judgment(self):
         parsed = parse_response("<think>likes cooking</think><answer>Yes</answer>", JUDGE)
         assert parsed.tag_order_ok
-        assert parsed.action is Verdict.YES
+        assert parsed.action == "yes"
         assert parsed.think_text == "likes cooking"
 
     def test_wrong_tag_order_still_parses_action(self):
         parsed = parse_response("<answer>2</answer><think>x</think>", selection_task())
         assert not parsed.tag_order_ok
-        assert parsed.action == Select(2)
+        assert parsed.action == 2
 
     def test_empty_input(self):
         parsed = parse_response("", JUDGE)
@@ -60,17 +59,17 @@ class TestParseResponse:
             "<think>a</think><answer>Yes</answer><think>b</think><answer>No</answer>", JUDGE
         )
         assert parsed.think_text == "a"
-        assert parsed.action is Verdict.YES
+        assert parsed.action == "yes"
 
     def test_template_marker_not_taken_as_answer(self):
         parsed = parse_response(
             "<think>(1) User_status: ok</think><answer>(2) Next_video: 3</answer>",
             selection_task(m=3),
         )
-        assert parsed.action == Select(3)
+        assert parsed.action == 3
 
     def test_bare_integer_answer(self):
-        assert parse_response("<answer>2</answer>", selection_task()).action == Select(2)
+        assert parse_response("<answer>2</answer>", selection_task()).action == 2
 
     def test_out_of_range_integer_yields_none(self):
         assert parse_response("<answer>7</answer>", selection_task(m=3)).action is None
@@ -78,20 +77,20 @@ class TestParseResponse:
 
     def test_exact_caption_match(self):
         task = selection_task(m=2, truth_pos=1, captions=("cat video", "dog video", "bird video"))
-        assert parse_response("<answer>Dog Video</answer>", task).action == Select(2)
+        assert parse_response("<answer>Dog Video</answer>", task).action == 2
 
     def test_integer_takes_precedence_over_caption(self):
         task = selection_task(m=2, truth_pos=1, captions=("1 cat", "dog", "bird"))
-        assert parse_response("<answer>3</answer>", task).action == Select(3)
+        assert parse_response("<answer>3</answer>", task).action == 3
 
     def test_yes_no_word_boundaries(self):
         assert parse_response("<answer>I know nothing</answer>", JUDGE).action is None
-        assert parse_response("<answer>no way</answer>", JUDGE).action is Verdict.NO
+        assert parse_response("<answer>no way</answer>", JUDGE).action == "no"
 
     def test_case_insensitive_tags_and_words(self):
         parsed = parse_response("<THINK>x</THINK><ANSWER>yEs</ANSWER>", JUDGE)
         assert parsed.tag_order_ok
-        assert parsed.action is Verdict.YES
+        assert parsed.action == "yes"
 
 
 class TestRewardTables:
@@ -127,8 +126,10 @@ class TestRewardTables:
         assert judgment_reward(parsed, "dislike") == -1.0
 
     def test_selection_reward_out_of_range_action(self):
-        parsed = ParsedResponse("t", "9", None, True, Select(9))
+        parsed = ParsedResponse("t", "9", None, True, 9)
         assert selection_reward(parsed, truth_index=1, n_candidates=4) == -2.0
+        # a bool is not an index, though True == 1
+        assert selection_reward(ParsedResponse("t", "1", None, True, True), truth_index=1) == -2.0
 
     def test_judgment_reward_missing_action(self):
         parsed = parse_response("<think>t</think><answer>??</answer>", JUDGE)
@@ -166,7 +167,14 @@ _TRUTHS += [(selection_task(truth_pos=pos), pos, SELECTION_VALUES, 3.0) for pos 
 
 def _assert_in_tables(raw):
     for task, truth, task_values, bound in _TRUTHS:
+        parsed = parse_response(raw, task)
+        if isinstance(task, Judgment):
+            assert parsed.action in (None, "yes", "no")
+        else:
+            # type(...) is int: a bool is never an index
+            assert parsed.action is None or (type(parsed.action) is int and 1 <= parsed.action <= task.candidates.size)
         breakdown = total_reward(raw, task, truth)
+        assert breakdown == score_parsed(parsed, task, truth)
         assert breakdown.r_format in FORMAT_VALUES
         assert breakdown.r_task in task_values
         assert -bound <= breakdown.total <= bound
