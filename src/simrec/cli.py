@@ -114,7 +114,10 @@ def _out_dir(resolved: dict) -> Path:
     if not out:
         raise InputError("an output directory is required (--out)")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise InputError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return path
 
 
@@ -318,7 +321,7 @@ def _simulation_metrics(episodes: list[Episode], rows: list[dict]) -> dict:
     }
     judged = [row for row in rows if row["task"] == "judgment"]
     if judged:
-        predictions = ["like" if row["action"] == "yes" else "dislike" for row in judged]
+        predictions = [{"yes": "like", "no": "dislike"}.get(row["action"]) for row in judged]
         metrics.update(classification_metrics(predictions, [row["truth"] for row in judged])._asdict())
         metrics["parse_failures"] = sum(row["action"] is None for row in judged)
     hits: dict[int, list[bool]] = {}

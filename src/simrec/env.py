@@ -10,7 +10,7 @@ produce byte-identical prompts.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -251,7 +251,6 @@ class SyntheticWorld:
     item_vectors: np.ndarray
     like_threshold: float = 0.0
     noise: float = 0.0
-    final_pools: dict[UserId, tuple[ItemId, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.user_vectors)) or not np.all(
@@ -304,8 +303,7 @@ def generate_synthetic_world(
     """Sample a world and derive its catalog and oracle-driven histories.
 
     Each behavior is the oracle's pick from a fresh random pool of unwatched
-    items; the pool behind the final (target) behavior is retained per user so
-    selection episodes can reuse it as the recall list.
+    items.
 
     The output is byte-stable for a seed: the random stream is drawn in a fixed
     order (length, then per step the pool and, at noise > 0, the noise), and
@@ -355,8 +353,6 @@ def generate_synthetic_world(
             pool_idx = rng.choice(len(remaining), size=min(pool_size, len(remaining)), replace=False)
             pool = [remaining[i] for i in pool_idx]
             best, score = world._oracle_choice(user_row, pool, rng)
-            if step == length - 1:
-                world.final_pools[user] = tuple(item_ids[row] for row in pool)
             behaviors.append(
                 BehaviorRecord(
                     item=item_ids[pool[best]],

@@ -74,7 +74,6 @@ class PipelineError(RuntimeError):
         super().__init__(f"item {item!r}, stage {stage!r}: {reason}")
         self.item = item
         self.stage = stage
-        self.reason = reason
 
 
 @dataclass(frozen=True)

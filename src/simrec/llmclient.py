@@ -6,12 +6,12 @@ request payload and returns the JSON response body (the de-facto
 is a scriptable mock for tests, plus recording/replay transports so any
 pipeline can be re-run byte-identically without a live endpoint.
 
-A batch runs on at most ``max_in_flight`` plain worker threads (none when it
-is 1: the caller's thread does the work). Each worker takes the next request
-in turn, and results are handed on in input order as soon as every earlier
-one is done. ``RecordingTransport`` keeps one append handle open from its
-first request and writes each row through to the file before ``send``
-returns; ``close()`` it, or use it as a context manager, when the batch ends.
+A batch runs on at most ``max_in_flight`` plain worker threads. Each worker
+takes the next request in turn, and results are handed on in input order as
+soon as every earlier one is done. ``RecordingTransport`` keeps one append
+handle open from its first request and writes each row through to the file
+before ``send`` returns; ``close()`` it, or use it as a context manager, when
+the batch ends.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ class ClientStats:
 def complete(
     req: ChatRequest,
     cfg: EndpointConfig,
-    transport: Transport | None = None,
+    transport: Transport,
     stats: ClientStats | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> str:
@@ -304,8 +304,6 @@ def complete(
     exponential backoff, except a PermanentTransportError, which is raised at
     once; an undecodable or malformed success body raises ProtocolError.
     """
-    if transport is None:
-        transport = HttpTransport(cfg)
     payload = req.to_payload()
     last_error: TransportError | None = None
     for attempt in range(cfg.max_retries + 1):
@@ -338,7 +336,7 @@ def complete(
 def complete_batch(
     reqs: Sequence[ChatRequest],
     cfg: EndpointConfig,
-    transport: Transport | None = None,
+    transport: Transport,
     stats: ClientStats | None = None,
 ) -> list[str | ClientError]:
     """Complete many requests with at most ``cfg.max_in_flight`` concurrent.
@@ -347,10 +345,6 @@ def complete_batch(
     per-request failures are returned positionally instead of aborting the
     batch.
     """
-    if not reqs:
-        return []
-    if transport is None:
-        transport = HttpTransport(cfg)
 
     def one(req: ChatRequest) -> str | ClientError:
         try:
@@ -371,17 +365,12 @@ def _run_ordered(
     At most ``min(workers, len(items))`` threads run ``fn``; each takes the
     next item under one lock. A result goes to ``emit`` (under the same lock,
     so ``emit`` never runs concurrently) once every earlier result has gone.
-    With one worker everything runs on the caller's thread. The first
-    exception raised by ``fn``, by ``emit`` or while the caller waits stops
-    new items from starting; the threads finish their current items, results
-    that are next in order are still emitted unless ``emit`` itself failed,
-    and the exception is re-raised here.
+    The first exception raised by ``fn``, by ``emit`` or while the caller
+    waits stops new items from starting; the threads finish their current
+    items, results that are next in order are still emitted unless ``emit``
+    itself failed, and the exception is re-raised here.
     """
     n_threads = min(workers, len(items))
-    if n_threads <= 1:
-        for item in items:
-            emit(fn(item))
-        return
     lock = threading.Lock()
     finished: dict[int, R] = {}
     taken = emitted = 0

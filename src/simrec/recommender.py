@@ -412,19 +412,23 @@ def f1_from_precision_recall(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def classification_metrics(predictions: Sequence[str], truths: Sequence[str]) -> Classification:
-    """Binary accuracy/precision/recall/F1 with "like" as the positive class."""
+def classification_metrics(predictions: Sequence[str | None], truths: Sequence[str]) -> Classification:
+    """Binary accuracy/precision/recall/F1 with "like" as the positive class.
+
+    A ``None`` prediction (no answer parsed) is never a hit: it is a false
+    negative when the truth is "like" and counts against accuracy either way.
+    """
     if len(predictions) != len(truths):
         raise ValueError("predictions and truths must have equal length")
     if not predictions:
         raise ValueError("need at least one prediction")
-    for label in (*predictions, *truths):
+    for label in (*(p for p in predictions if p is not None), *truths):
         if label not in ("like", "dislike"):
             raise ValueError(f"labels must be like/dislike, got {label!r}")
     tp = sum(1 for p, t in zip(predictions, truths) if p == "like" and t == "like")
     fp = sum(1 for p, t in zip(predictions, truths) if p == "like" and t == "dislike")
-    fn = sum(1 for p, t in zip(predictions, truths) if p == "dislike" and t == "like")
-    tn = len(truths) - tp - fp - fn
+    fn = sum(1 for p, t in zip(predictions, truths) if p != "like" and t == "like")
+    tn = sum(1 for p, t in zip(predictions, truths) if p == "dislike" and t == "dislike")
     acc = (tp + tn) / len(truths)
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0

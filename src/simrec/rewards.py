@@ -77,23 +77,23 @@ def _parse_selection_action(answer: str, task: Selection) -> int | None:
     marker = _NEXT_VIDEO_RE.search(body)
     if marker is not None:
         body = body[marker.end():]
-    size = task.candidates.size
+    body = body.strip()
     int_match = _INT_RE.search(body)
-    if int_match is not None:
-        index = int(int_match.group(0))
-        return index if 1 <= index <= size else None
-    # No integer: fall back to an exact candidate-text match.
-    needle = body.strip().casefold()
-    if not needle:
-        return None
-    if task.captions is not None:
-        for pos, caption in enumerate(task.captions, start=1):
-            if caption.strip().casefold() == needle:
+    if body and (int_match is None or len(int_match.group(0)) != len(body)):
+        # Not a bare integer: an exact caption or item id names its candidate,
+        # even when it holds digits ("clip v010").
+        needle = body.casefold()
+        if task.captions is not None:
+            for pos, caption in enumerate(task.captions, start=1):
+                if caption.strip().casefold() == needle:
+                    return pos
+        for pos, item_id in enumerate(task.candidates.presentation_order, start=1):
+            if item_id.casefold() == needle:
                 return pos
-    for pos, item_id in enumerate(task.candidates.presentation_order, start=1):
-        if item_id.casefold() == needle:
-            return pos
-    return None
+    if int_match is None:
+        return None
+    index = int(int_match.group(0))
+    return index if 1 <= index <= task.candidates.size else None
 
 
 def parse_response(raw: str, task: TaskKind) -> ParsedResponse:

@@ -187,6 +187,16 @@ class TestEvalRecCommand:
             "--out", tmp_path / "run",
         ) == 2
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_at_or_below_a_file_exits_2_naming_it(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("not a directory\n")
+        assert run(
+            "eval-rec",
+            "--interactions", DATA_DIR / "interactions.jsonl",
+            "--out", tmp_path / out,
+        ) == 2
+        assert f"error: cannot make output directory {tmp_path / out}: " in capsys.readouterr().err
+
     def test_rerun_is_bit_identical(self, tmp_path):
         outputs = []
         for name in ("a", "b"):
@@ -279,7 +289,7 @@ class TestEvalRecCommand:
             ("replayed", None, False, "80d8539bebfe572a836754240134ccbf1119fb95a7d51793d7cfdf724677ca29",
              "simulate", {"transcripts.jsonl": "4d8f31075853e5462645bc74028b38bc58084240457978471b0cea66c7112230",
              "manifest.json": "1147f65f77d63dad3b7d0b40b9e5845bc48edfc2127d125223216f2f491a01ca"}),
-            ("messy", None, False, "74756b903a74462b7a59baaa579b9b3fa7b10e081445d2927000a8d0a722bb5e",
+            ("messy", None, False, "137ecea93f411bdc051458c59facd7867e55fff9a5d7ad418ead3be48b28787f",
              "simulate", {"transcripts.jsonl": "f1b157e7fb1767f544a3a3591360e1e402054a8394d21d5497e8501f1b0d1903",
              "manifest.json": "b3327ab82b8d4c8e19a3f4daa92d1c60b81b731e6ec4a7935c1a35e7ab6c93a7"}),
             ("bundled", None, False, "9cca80cec2492bd6ff5da62959688838d8a67104b3e4f5a72097d79ea8c224bf",

@@ -162,7 +162,6 @@ class TestSyntheticWorld:
         b = generate_synthetic_world(6, 30, 4, seed=9)
         assert np.array_equal(a[0].user_vectors, b[0].user_vectors)
         assert a[2] == b[2]
-        assert a[0].final_pools == b[0].final_pools
 
     def test_histories_have_expected_length_and_unique_items(self):
         _, _, histories = generate_synthetic_world(6, 40, 4, seed=9, history_length=5)
@@ -170,17 +169,13 @@ class TestSyntheticWorld:
             assert len(history) == 5
             assert len(set(history.item_ids())) == 5
 
-    def test_final_pool_contains_target(self):
-        world, _, histories = generate_synthetic_world(6, 40, 4, seed=10)
-        for history in histories:
-            assert history.target().item in world.final_pools[history.user]
-
     def test_oracle_consistency_at_zero_noise(self):
-        world, _, histories = generate_synthetic_world(8, 50, 4, seed=12)
+        world, _, _ = generate_synthetic_world(8, 50, 4, seed=12)
         rng = np.random.default_rng(0)
-        for history in histories:
-            pool = world.final_pools[history.user]
-            assert world.oracle_pick(history.user, pool, rng) == history.target().item
+        for user in world.user_ids:
+            pool = [world.item_ids[row] for row in rng.choice(len(world.item_ids), size=10, replace=False)]
+            best = max(pool, key=lambda item: world.affinity(user, item))
+            assert world.oracle_pick(user, pool, rng) == best
 
     def test_like_threshold_minus_inf_means_all_like(self):
         world, catalog, histories = generate_synthetic_world(
@@ -242,17 +237,16 @@ class TestSyntheticWorld:
             "interactions": "acdb85f3a571ac4973ee55bf4fe3fbf6e5e36066f72dcb440bbac50e082ea89f",
             "features": "007b81dbd199121b386dabc37ff1730b2ccb218213853134dd510f2a59b7c7f5",
         }
-        world, _, histories = generate_synthetic_world(
+        _, _, histories = generate_synthetic_world(
             300, 800, 8, seed=3, history_length=(4, 10), noise=0.3
         )
         payload = {
             "histories": [
                 [h.user, [[b.item, b.timestamp, b.comment] for b in h.behaviors]] for h in histories
             ],
-            "final_pools": sorted([u, list(p)] for u, p in world.final_pools.items()),
         }
         digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-        assert digest == "2522b08901bddd8dea62eb7b18d93a19d6bc8dc3d9463de65f78b300900de4c4"
+        assert digest == "47807f5c154fb50734d9f4718a09c0e484762933f7dc975668dfe36adcd585c5"
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ValueError):

@@ -343,6 +343,12 @@ class TestClassificationMetrics:
         assert m.acc == 1.0
         assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
 
+    def test_no_prediction_is_never_a_hit(self):
+        m = classification_metrics(["like", None, None, "dislike"], ["like", "like", "dislike", "dislike"])
+        assert m.acc == 0.5
+        assert m.precision == 1.0
+        assert m.recall == 0.5
+
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             classification_metrics([], [])

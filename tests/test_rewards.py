@@ -195,6 +195,31 @@ def test_enum_prefix_slice_equals_a_substitution(answer):
     assert (answer[prefix.end():] if prefix else answer) == _ENUM_PREFIX_RE.sub("", answer)
 
 
+@st.composite
+def digit_named_selections(draw):
+    """A selection whose item ids ("v007") and captions ("clip v042") hold digits
+    that need not be their positions."""
+    numbers = draw(st.lists(st.integers(0, 999), min_size=2, max_size=8, unique=True))
+    order = tuple(f"v{n:03d}" for n in numbers)
+    captions = tuple(f"clip v{n:03d}" for n in draw(st.permutations(numbers)))
+    candidates = CandidateSet(positive=order[0], negatives=order[1:], presentation_order=order, rng_seed=0)
+    return Selection(candidates=candidates, captions=captions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    task=digit_named_selections(),
+    position=st.integers(1, 8),
+    names_caption=st.booleans(),
+    template=st.sampled_from(["{}", "(2) Next_video: {}", " {} "]),
+)
+def test_an_exact_caption_or_item_id_answer_parses_to_its_candidate(task, position, names_caption, template):
+    position = min(position, task.candidates.size)
+    name = (task.captions if names_caption else task.candidates.presentation_order)[position - 1]
+    raw = f"<think>t</think><answer>{template.format(name)}</answer>"
+    assert parse_response(raw, task).action == position
+
+
 def test_every_short_fragment_sequence_stays_in_finite_sets():
     """Exhaustive where random draws are thin: every sequence of up to four non-empty fragments."""
     for n in range(5):
