@@ -24,6 +24,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import logging
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -61,6 +62,8 @@ from .recommender import (
     load_item_features,
 )
 from .rewards import parse_response, score_parsed
+
+logger = logging.getLogger(__name__)
 
 
 class InputError(ValueError):
@@ -231,6 +234,11 @@ def _load_catalog_histories(resolved: dict):
         if resolved[name]:
             inputs.append(_require_file(resolved[name], f"{name} file"))
             catalog = attach(catalog, inputs[-1])
+    if resolved["captions"]:
+        logger.warning(
+            "%s ranks without captions: they reach a ranking only as --features vectors computed outside simrec",
+            resolved["model"],
+        )
     return catalog, histories, inputs
 
 

@@ -35,7 +35,7 @@ def word_count(text: str) -> int:
     return len(text.split())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     """A catalog entry. ``feature`` is a dense unitless vector when present."""
 
@@ -74,7 +74,7 @@ class BehaviorRecord(NamedTuple):
     comment: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UserHistory:
     """A user's chronological behavior sequence.
 
@@ -100,9 +100,9 @@ class UserHistory:
     @classmethod
     def _unchecked(cls, user: UserId, behaviors: tuple[BehaviorRecord, ...]) -> "UserHistory":
         """A history built from fields already known to be valid, skipping ``__post_init__``."""
-        history = object.__new__(cls)
-        object.__setattr__(history, "user", user)
-        object.__setattr__(history, "behaviors", behaviors)
+        history = _new_object(cls)
+        _set_user(history, user)
+        _set_behaviors(history, behaviors)
         return history
 
     def __len__(self) -> int:
@@ -124,8 +124,13 @@ class UserHistory:
         A prefix of a valid history is valid, so the view skips the checks of
         ``__post_init__``.
         """
-        self._require_target()
-        return UserHistory._unchecked(self.user, self.behaviors[:-1])
+        behaviors = self.behaviors
+        if len(behaviors) < 2:
+            self._require_target()  # raises
+        history = _new_object(UserHistory)
+        _set_user(history, self.user)
+        _set_behaviors(history, behaviors[:-1])
+        return history
 
     def item_ids(self) -> tuple[ItemId, ...]:
         return tuple(b.item for b in self.behaviors)
@@ -135,6 +140,13 @@ class UserHistory:
             raise ValueError(
                 f"user {self.user!r}: need at least 2 behaviors to split profile/target"
             )
+
+
+# Build a UserHistory without its checks: the slot setters bypass the frozen __setattr__
+# and, bound once, cost less than object.__setattr__, which looks the slot up on every call.
+_new_object = object.__new__
+_set_user = UserHistory.user.__set__
+_set_behaviors = UserHistory.behaviors.__set__
 
 
 @dataclass(frozen=True)
@@ -296,15 +308,18 @@ def load_interactions(path: str | Path) -> tuple[dict[ItemId, Item], list[UserHi
     as tab-separated fields, any other path as JSONL. Histories are sorted by
     ordinal per user; users with fewer than 2 behaviors are dropped with a
     logged count. Malformed rows and duplicate (user, ordinal) pairs raise
-    ValueError naming the path and line.
+    ValueError naming the path and line. Equal item ids and equal comments
+    are one string object each, and a record's item is its catalog key.
     """
     path = Path(path)
     titles: dict[ItemId, str] = {}
     per_user: dict[UserId, dict[int, BehaviorRecord]] = {}
+    shared: dict[str, str] = {}  # the first object of each distinct item id or comment
 
     def add(row: dict) -> None:
         user = str(row["user"])
         item = str(row["item"])
+        item = shared.setdefault(item, item)
         ordinal = row["ord"]
         if type(ordinal) is not int:  # an integer string (TSV, or JSONL "3") converts; bool and float do not
             if isinstance(ordinal, (bool, float)):
@@ -319,6 +334,8 @@ def load_interactions(path: str | Path) -> tuple[dict[ItemId, Item], list[UserHi
             comment = str(comment)
             if not comment.strip():
                 comment = None
+            else:
+                comment = shared.setdefault(comment, comment)
         title = row.get("title")
         if title:
             titles[item] = str(title)

@@ -127,7 +127,9 @@ class FixedOrderGenerator(CandidateGenerator):
         scores.setflags(write=False)
         self._scores = scores
         self._by_place = list(map(self._ids.__getitem__, np.argsort(-scores, kind="stable").tolist()))
-        self._place = dict(zip(self._by_place, range(len(scores))))
+        # places 0..n-1, taken from the catalog index's values: those int objects are shared by
+        # every generator fitted on the catalog, so each generator frees no ints of its own
+        self._place = dict(zip(self._by_place, self._index.values()))
 
     def scores(self, history: UserHistory) -> np.ndarray:
         return self._scores

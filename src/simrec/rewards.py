@@ -36,6 +36,8 @@ _YES_NO_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _ENUM_PREFIX_RE = re.compile(r"^\s*\(\d+\)\s*")
 _NEXT_VIDEO_RE = re.compile(r"next[_\s]?video\s*:?", re.IGNORECASE)
 _INT_RE = re.compile(r"[-+]?\d+")
+_QUOTES = "\"'`\u2018\u2019\u201c\u201d"
+_CLOSING = _QUOTES + ".,;:!?"
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,11 @@ def _parse_judgment_action(answer: str) -> str | None:
     return None if match is None else match.group(1).lower()
 
 
+def _bare_name(text: str) -> str:
+    """``text`` without surrounding quotes, trailing sentence punctuation or case."""
+    return text.strip().lstrip(_QUOTES).rstrip(_CLOSING).casefold()
+
+
 def _parse_selection_action(answer: str, task: Selection) -> int | None:
     # The "(2)" in the response template is a list marker, not the answer.
     prefix = _ENUM_PREFIX_RE.match(answer)
@@ -81,14 +88,14 @@ def _parse_selection_action(answer: str, task: Selection) -> int | None:
     int_match = _INT_RE.search(body)
     if body and (int_match is None or len(int_match.group(0)) != len(body)):
         # Not a bare integer: an exact caption or item id names its candidate,
-        # even when it holds digits ("clip v010").
-        needle = body.casefold()
+        # even when it holds digits ("clip v010"), is quoted or ends a sentence.
+        needle = _bare_name(body)
         if task.captions is not None:
             for pos, caption in enumerate(task.captions, start=1):
-                if caption.strip().casefold() == needle:
+                if _bare_name(caption) == needle:
                     return pos
         for pos, item_id in enumerate(task.candidates.presentation_order, start=1):
-            if item_id.casefold() == needle:
+            if _bare_name(item_id) == needle:
                 return pos
     if int_match is None:
         return None

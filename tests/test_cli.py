@@ -142,6 +142,23 @@ class TestEvalRecCommand:
         assert model_hr["10"] > random_hr["10"]
         assert model_hr["20"] >= model_hr["10"]
 
+    @pytest.mark.parametrize("command", ["eval-rec", "rerank"])
+    def test_captions_log_once_that_the_model_ranks_without_them(self, tmp_path, caplog, command):
+        captions = tmp_path / "captions.jsonl"
+        captions.write_text(json.dumps({"item": "v000", "caption": "a short caption"}) + "\n")
+        extra = ["--feedback", DATA_DIR / "feedback.jsonl"] if command == "rerank" else []
+        reports = []
+        for given in ([], ["--captions", captions]):
+            out = tmp_path / f"run{len(reports)}"
+            caplog.clear()
+            assert run(command, "--interactions", DATA_DIR / "interactions.jsonl", "--model", "markov",
+                       *extra, *given, "--out", out) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert [r.getMessage() for r in caplog.records if "without captions" in r.getMessage()] == [
+            "markov ranks without captions: they reach a ranking only as --features vectors computed outside simrec"
+        ]
+
     def test_cold_slice_count_matches_hand_count(self, tmp_path, bundled_catalog_histories):
         _, histories = bundled_catalog_histories
         out = tmp_path / "run"

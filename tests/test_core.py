@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import logging
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -156,7 +159,35 @@ class TestLoadInteractions:
         path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
         save_interactions(path, catalog, histories)
         used = {b.item for h in histories for b in h.behaviors}
-        assert load_interactions(path) == ({i: catalog[i] for i in sorted(used)}, histories)
+        loaded_catalog, loaded = load_interactions(path)
+        assert (loaded_catalog, loaded) == ({i: catalog[i] for i in sorted(used)}, histories)
+        assert_strings_shared(loaded_catalog, loaded)
+
+    @pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
+    def test_equal_ids_and_comments_are_one_object(self, tmp_path, suffix):
+        rows = [("u1", "a", 1, "loved it"), ("u1", "b", 2, "meh"), ("u2", "a", 1, "loved it"),
+                ("u2", "b", 2, "loved it"), ("u2", "a", 3, None), ("u3", "b", 1, "meh"), ("u3", "c", 2, "a")]
+        path = tmp_path / f"x{suffix}"
+        if suffix == ".tsv":
+            path.write_text("".join(f"{u}\t{i}\t{o}\t{c or ''}\n" for u, i, o, c in rows))
+        else:
+            write_jsonl(path, [{"user": u, "item": i, "ord": o, "comment": c} for u, i, o, c in rows])
+        catalog, histories = load_interactions(path)
+        assert list(catalog) == ["a", "b", "c"]
+        assert [b.comment for h in histories for b in h.behaviors] == [r[3] for r in rows]
+        assert_strings_shared(catalog, histories)
+
+
+def assert_strings_shared(catalog, histories):
+    """Each record's item is its catalog key object, and equal comments are one object."""
+    keys = {key: key for key in catalog}
+    comments = {}
+    for history in histories:
+        for record in history.behaviors:
+            assert record.item is keys[record.item]
+            assert catalog[record.item].id is record.item
+            if record.comment is not None:
+                assert comments.setdefault(record.comment, record.comment) is record.comment
 
 
 class TestAttachCaptions:
@@ -374,6 +405,33 @@ class TestTypes:
     def test_history_rejects_an_empty_item_id(self):
         with pytest.raises(ValueError, match="^behavior item id must be non-empty$"):
             UserHistory(user="u", behaviors=(BehaviorRecord(item="a", timestamp=1), BehaviorRecord(item="", timestamp=2)))
+
+    def test_item_and_history_hold_no_instance_dict(self):
+        history = UserHistory(user="u", behaviors=(BehaviorRecord("a", 1), BehaviorRecord("b", 2)))
+        for value in (Item(id="a", title="t"), history, history.training_view()):
+            assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize(
+        "value, key",
+        [
+            (Item(id="a", title="t", enhanced_caption="a caption", feature=(0.5, -1.0)), "id"),
+            (UserHistory(user="u", behaviors=(BehaviorRecord("a", 1, "nice"), BehaviorRecord("b", 2))), "user"),
+        ],
+    )
+    def test_item_and_history_keep_value_semantics(self, value, key):
+        for twin in (dataclasses.replace(value), copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value) and type(twin) is type(value)
+        changed = dataclasses.replace(value, **{key: "x"})
+        assert getattr(changed, key) == "x" and changed != value
+        with pytest.raises(ValueError, match="must be non-empty"):
+            dataclasses.replace(value, **{key: ""})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, key, "x")
+
+    def test_training_view_of_a_single_behavior_names_the_user(self):
+        history = UserHistory(user="u", behaviors=(BehaviorRecord("a", 1),))
+        with pytest.raises(ValueError, match="^user 'u': need at least 2 behaviors to split profile/target$"):
+            history.training_view()
 
     def test_history_split(self):
         history = UserHistory(

@@ -83,6 +83,26 @@ class TestParseResponse:
         task = selection_task(m=2, truth_pos=1, captions=("1 cat", "dog", "bird"))
         assert parse_response("<answer>3</answer>", task).action == 3
 
+    def test_a_bare_integer_is_compared_with_no_caption(self):
+        class Unread(tuple):
+            def __iter__(self):
+                raise AssertionError("a caption was compared")
+
+        task = selection_task(m=2, captions=Unread(("a", "b", "c")))
+        assert parse_response("<answer>(2) Next_video: 3</answer>", task).action == 3
+
+    @pytest.mark.parametrize(
+        "answer, action",
+        [("clip v001", 3), ("clip v001.", 3), ('"clip v001"', 3), ("\u201cClip V001\u201d!", 3), ("'v010'.", 1),
+         ("I pick clip v001", 1), ("clip v001 is next", 1)],
+    )
+    def test_quoted_or_punctuated_caption_names_its_candidate(self, answer, action):
+        """Only a whole answer names a caption; free text around one stays on the integer path."""
+        order = ("v010", "v002", "v001")
+        candidates = CandidateSet(positive="v010", negatives=order[1:], presentation_order=order, rng_seed=0)
+        task = Selection(candidates=candidates, captions=("clip v010", "clip v002", "clip v001"))
+        assert parse_response(f"<answer>{answer}</answer>", task).action == action
+
     def test_yes_no_word_boundaries(self):
         assert parse_response("<answer>I know nothing</answer>", JUDGE).action is None
         assert parse_response("<answer>no way</answer>", JUDGE).action == "no"
@@ -211,7 +231,7 @@ def digit_named_selections(draw):
     task=digit_named_selections(),
     position=st.integers(1, 8),
     names_caption=st.booleans(),
-    template=st.sampled_from(["{}", "(2) Next_video: {}", " {} "]),
+    template=st.sampled_from(["{}", "(2) Next_video: {}", " {} ", '"{}"', "{}.", "(2) Next_video: '{}'!"]),
 )
 def test_an_exact_caption_or_item_id_answer_parses_to_its_candidate(task, position, names_caption, template):
     position = min(position, task.candidates.size)
