@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -298,6 +299,27 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
             handle.write(_encode_sorted(row) + "\n")
             count += 1
     return count
+
+
+def drop_torn_last_line(path: Path) -> None:
+    """Cut a last line that lacks its ``\\n`` off an append-only file, with one warning.
+
+    A writer that dies inside a row leaves such a line; the rows before it are
+    whole, so a rerun can go on from them. A missing file is left alone.
+    """
+    try:
+        handle = path.open("r+b")
+    except FileNotFoundError:
+        return
+    with handle:
+        size = handle.seek(0, os.SEEK_END)
+        handle.seek(max(0, size - 1))
+        if handle.read(1) in (b"", b"\n"):
+            return  # empty, or ends with a whole row
+        handle.seek(0)
+        keep = handle.read().rfind(b"\n") + 1  # just past the last whole row; 0 when there is none
+        handle.truncate(keep)
+    logger.warning("%s: dropped a torn last line (%d bytes)", path, size - keep)
 
 
 def load_interactions(path: str | Path) -> tuple[dict[ItemId, Item], list[UserHistory]]:

@@ -155,7 +155,7 @@ def make_uniform_responder(n_candidates: int, seed: int = 0) -> Callable[[dict],
     return responder
 
 
-def make_caption_responder(long_first_summary: bool = False) -> Callable[[dict], dict]:
+def make_caption_responder() -> Callable[[dict], dict]:
     """Plays all three caption stages deterministically from the video title."""
 
     def responder(payload: dict) -> dict:
@@ -170,9 +170,6 @@ def make_caption_responder(long_first_summary: bool = False) -> Callable[[dict],
                 "Emotional appeal: easy curiosity."
             )
         if prompt == SUMMARY_PROMPT:
-            if long_first_summary:
-                padding = " ".join(["filler"] * 60)
-                return text_response(f"{title} {padding} # overlong draft")
             return text_response(f"{title} delivers a brisk, watchable moment # demo clip # short video")
         if prompt == LIMIT_REMINDER:
             return text_response(f"{title} in one tight take # demo clip")

@@ -21,6 +21,7 @@ from .core import (
     CAPTION_WORD_LIMIT,
     Item,
     ItemId,
+    drop_torn_last_line,
     iter_jsonl,
     read_jsonl_by_item,
     word_count,
@@ -68,11 +69,10 @@ LIMIT_REMINDER = (
 
 
 class PipelineError(RuntimeError):
-    """A per-item pipeline failure; carries the item and the failing stage."""
+    """A per-item pipeline failure; carries the failing stage."""
 
     def __init__(self, item: ItemId, stage: str, reason: str) -> None:
         super().__init__(f"item {item!r}, stage {stage!r}: {reason}")
-        self.item = item
         self.stage = stage
 
 
@@ -95,21 +95,6 @@ class FrameScores:
             raise ValueError(f"item {self.item!r}: need at least one scored frame")
         if not all(math.isfinite(f.score) for f in self.frames):
             raise ValueError(f"item {self.item!r}: frame scores must be finite")
-
-
-@dataclass(frozen=True)
-class EnhancedCaption:
-    """The final caption plus the two intermediate model replies."""
-
-    item: ItemId
-    caption: str
-    word_count: int
-    stage_transcripts: tuple[str, str]  # (perception, analysis) replies
-    retries: int = 0
-
-    def __post_init__(self) -> None:
-        if self.word_count > CAPTION_WORD_LIMIT:
-            raise ValueError(f"caption exceeds the {CAPTION_WORD_LIMIT}-word cap")
 
 
 def select_keyframes(scores: FrameScores) -> tuple[FrameScore, ...]:
@@ -145,11 +130,12 @@ def run_ip_pipeline(
     transport: Transport,
     model: str = DEFAULT_CAPTION_MODEL,
     stats: ClientStats | None = None,
-) -> EnhancedCaption:
+) -> str:
     """Run the three-turn conversation for one item and return its caption.
 
     The final reply must fit ``CAPTION_WORD_LIMIT`` words; one corrective
     re-prompt is attempted, after which the caption is truncated with a warning.
+    The stage replies stay in the conversation, and so in any recording.
     """
     messages = [
         ChatMessage(
@@ -158,17 +144,15 @@ def run_ip_pipeline(
             images=tuple(f.ref for f in keyframes),
         )
     ]
-    focus_reply = _ask(item.id, "focus", messages, model, cfg, transport, stats)
+    _ask(item.id, "focus", messages, model, cfg, transport, stats)
     messages.append(ChatMessage(role="user", content=PERCEPTION_PROMPT))
-    perception_reply = _ask(item.id, "perception", messages, model, cfg, transport, stats)
+    _ask(item.id, "perception", messages, model, cfg, transport, stats)
     messages.append(ChatMessage(role="user", content=SUMMARY_PROMPT))
     caption = _ask(item.id, "summary", messages, model, cfg, transport, stats)
 
-    retries = 0
     if word_count(caption) > CAPTION_WORD_LIMIT:
         messages.append(ChatMessage(role="user", content=LIMIT_REMINDER))
         caption = _ask(item.id, "summary-retry", messages, model, cfg, transport, stats)
-        retries = 1
         if word_count(caption) > CAPTION_WORD_LIMIT:
             logger.warning(
                 "item %r: caption still over %d words after retry; truncating",
@@ -176,14 +160,7 @@ def run_ip_pipeline(
                 CAPTION_WORD_LIMIT,
             )
             caption = " ".join(caption.split()[:CAPTION_WORD_LIMIT])
-
-    return EnhancedCaption(
-        item=item.id,
-        caption=caption,
-        word_count=word_count(caption),
-        stage_transcripts=(focus_reply, perception_reply),
-        retries=retries,
-    )
+    return caption
 
 
 def _frame_scores_row(row: dict) -> tuple[ItemId, FrameScores]:
@@ -236,9 +213,10 @@ def batch_augment(
 ) -> BatchReport:
     """Caption every item with frame scores, appending rows to ``out_path`` incrementally.
 
-    Resumable: items that already have a caption row in the output are
-    skipped. Items missing from the catalog and per-item pipeline errors land
-    in the failure report; the batch continues. Up to ``parallelism`` items are
+    Resumable: a torn last row left by a crash is cut off, then items that
+    already have a caption row in the output are skipped. Items missing from
+    the catalog and per-item pipeline errors land in the failure report; the
+    batch continues. Up to ``parallelism`` items are
     captioned at once, and each row is written and flushed as soon as every
     earlier item is done, in sorted item order, so an interrupted run leaves
     a sorted prefix on disk and reruns are byte-identical.
@@ -247,6 +225,7 @@ def batch_augment(
         frame_scores = load_frame_scores(frame_scores)
     out_path = Path(out_path)
     report = BatchReport()
+    drop_torn_last_line(out_path)
     done = _existing_caption_items(out_path)
 
     todo: list[ItemId] = []
@@ -258,7 +237,7 @@ def batch_augment(
         else:
             todo.append(item_id)
 
-    def caption_one(item_id: ItemId) -> tuple[ItemId, EnhancedCaption | PipelineError | ClientError]:
+    def caption_one(item_id: ItemId) -> tuple[ItemId, str | PipelineError | ClientError]:
         try:
             return item_id, run_ip_pipeline(
                 catalog[item_id],
@@ -273,7 +252,7 @@ def batch_augment(
 
     with out_path.open("a", encoding="utf-8") as handle:
 
-        def write(outcome: tuple[ItemId, EnhancedCaption | PipelineError | ClientError]) -> None:
+        def write(outcome: tuple[ItemId, str | PipelineError | ClientError]) -> None:
             item_id, result = outcome
             if isinstance(result, PipelineError):
                 report.failures.append((item_id, result.stage))
@@ -281,7 +260,7 @@ def batch_augment(
                 report.failures.append((item_id, f"transport: {result}"))
             else:
                 handle.write(
-                    json.dumps({"item": item_id, "caption": result.caption}, sort_keys=True) + "\n"
+                    json.dumps({"item": item_id, "caption": result}, sort_keys=True) + "\n"
                 )
                 handle.flush()
                 report.written += 1

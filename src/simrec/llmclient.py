@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence, TypeVar
 
-from .core import iter_jsonl
+from .core import drop_torn_last_line, iter_jsonl
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -73,20 +73,17 @@ class ChatRequest:
     model: str
     messages: tuple[ChatMessage, ...]
     temperature: float = 0.0
-    max_tokens: int = 2048
 
     def __post_init__(self) -> None:
         if not self.messages:
             raise ValueError("request needs at least one message")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be at least 1")
 
     def to_payload(self) -> dict:
         return {
             "model": self.model,
             "messages": [m.to_wire() for m in self.messages],
             "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "max_tokens": 2048,  # part of every recorded request, and so of every replay key
         }
 
 
@@ -216,7 +213,9 @@ class RecordingTransport(Transport):
     """Wraps another transport and appends {request, response} JSONL rows.
 
     The file is opened on the first ``send`` (a run that sends nothing
-    creates none) and each row is flushed to it before ``send`` returns.
+    creates none) and each row is flushed to it before ``send`` returns. An
+    existing file is appended to, once a torn last row left by a crash is cut
+    off, so that the file still replays.
     """
 
     def __init__(self, inner: Transport, path: str | Path) -> None:
@@ -230,6 +229,7 @@ class RecordingTransport(Transport):
         row = json.dumps({"request": payload, "response": response}, sort_keys=True) + "\n"
         with self._lock:
             if self._handle is None:
+                drop_torn_last_line(self.path)
                 self._handle = self.path.open("ab")
             self._handle.write(row.encode("utf-8"))
             self._handle.flush()

@@ -47,8 +47,9 @@ class CandidateGenerator(ABC):
     Subclasses implement ``fit`` and ``scores``; ``top_k`` and ``rank`` are
     built on ``scores`` here, so every generator orders items the same way:
     higher score first, ties to the smaller item id, history items excluded.
-    ``rank`` and ``holdout_ranks`` share one primitive, ``_rank``, which
-    subclasses may replace with a cheaper count that returns the same.
+    ``rank`` and ``holdout_ranks`` share one primitive, ``_rank``: a count on
+    ``scores``, which ``FixedOrderGenerator`` replaces with a lookup that
+    returns the same.
     """
 
     _ids: tuple[ItemId, ...] | None = None  # sorted catalog, the index order of ``scores``
@@ -92,12 +93,16 @@ class CandidateGenerator(ABC):
         return self._rank(history.user, history.behaviors, item)
 
     def _rank(self, user: UserId, behaviors: tuple[BehaviorRecord, ...], item: ItemId) -> int | None:
-        """``rank`` of ``item`` for ``user`` with ``behaviors`` as the history."""
+        """``rank`` of ``item`` for ``user`` with ``behaviors`` as the history.
+
+        ``behaviors`` is always a history's behaviors or a prefix of them, so
+        the history built from them skips the checks of ``UserHistory``.
+        """
         seen = self._positions(behaviors)
         pos = self._index.get(item)
         if pos is None or pos in seen:
             return None
-        scores = self.scores(UserHistory(user=user, behaviors=behaviors))
+        scores = self.scores(UserHistory._unchecked(user, behaviors))
         target = scores[pos]
         beats = scores > target
         beats[:pos] |= scores[:pos] == target
@@ -241,24 +246,11 @@ class EmbeddingGenerator(CandidateGenerator):
         self._features = np.array([catalog[i].feature for i in self._ids], dtype=float)
 
     def scores(self, history: UserHistory) -> np.ndarray:
-        return self._scores_of(history.user, self._positions(history.behaviors))
-
-    def _scores_of(self, user: UserId, rows: list[int]) -> np.ndarray:
-        """A fresh score array for the history whose catalog positions are ``rows``."""
+        rows = self._positions(history.behaviors)
         if not rows:
-            raise ValueError(f"user {user!r}: no history item has a feature vector")
+            raise ValueError(f"user {history.user!r}: no history item has a feature vector")
         profile = self._features[rows].sum(axis=0) / len(rows)  # bit-equal to .mean(axis=0)
         return self._features @ profile
-
-    def _rank(self, user: UserId, behaviors: tuple[BehaviorRecord, ...], item: ItemId) -> int | None:
-        rows = self._positions(behaviors)
-        pos = self._index.get(item)
-        if pos is None or pos in rows:
-            return None
-        scores = self._scores_of(user, rows)
-        target = scores[pos]
-        scores[rows] = np.nan  # a seen item neither beats nor ties the target
-        return 1 + int(np.count_nonzero(scores > target)) + int(np.count_nonzero(scores[:pos] == target))
 
 
 class RandomGenerator(FixedOrderGenerator):

@@ -31,7 +31,6 @@ from .core import Judgment, Selection, TaskKind
 
 _THINK_RE = re.compile(r"<think>(.*?)</think>", re.IGNORECASE | re.DOTALL)
 _ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", re.IGNORECASE | re.DOTALL)
-_USER_STATUS_RE = re.compile(r"User_status\s*:?\s*(.*)", re.IGNORECASE | re.DOTALL)
 _YES_NO_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 _ENUM_PREFIX_RE = re.compile(r"^\s*\(\d+\)\s*")
 _NEXT_VIDEO_RE = re.compile(r"next[_\s]?video\s*:?", re.IGNORECASE)
@@ -50,7 +49,6 @@ class ParsedResponse:
 
     think_text: str | None
     answer_text: str | None
-    user_status: str | None
     tag_order_ok: bool
     action: str | int | None
 
@@ -111,15 +109,12 @@ def parse_response(raw: str, task: TaskKind) -> ParsedResponse:
     """
     think = _THINK_RE.search(raw)
     answer = _ANSWER_RE.search(raw)
-    think_text = answer_text = user_status = None
+    think_text = answer_text = None
     action: str | int | None = None
     tag_order_ok = False
 
     if think is not None:
         think_text = think.group(1).strip()
-        status = _USER_STATUS_RE.search(think_text)
-        if status:
-            user_status = status.group(1).strip() or None
         tag_order_ok = answer is not None and think.start() < answer.start()
 
     if answer is not None:
@@ -135,7 +130,6 @@ def parse_response(raw: str, task: TaskKind) -> ParsedResponse:
     return ParsedResponse(
         think_text=think_text,
         answer_text=answer_text,
-        user_status=user_status,
         tag_order_ok=tag_order_ok,
         action=action,
     )
@@ -162,9 +156,7 @@ def judgment_reward(parsed: ParsedResponse, truth: str) -> float:
     return 1.0 if predicted == truth else -1.0
 
 
-def selection_reward(
-    parsed: ParsedResponse, truth_index: int, n_candidates: int | None = None
-) -> float:
+def selection_reward(parsed: ParsedResponse, truth_index: int, n_candidates: int) -> float:
     """+2 for the correct candidate, -1.5 for a wrong one, -2 when unparseable.
 
     An index outside [1, n_candidates] scores -2 like a missing action.
@@ -173,7 +165,7 @@ def selection_reward(
     """
     index = parsed.action
     # type(...) is int, so that a bool is not an index
-    if type(index) is not int or index < 1 or (n_candidates is not None and index > n_candidates):
+    if type(index) is not int or not 1 <= index <= n_candidates:
         return -2.0
     if index == truth_index:
         return 2.0
@@ -185,7 +177,7 @@ def score_parsed(parsed: ParsedResponse, task: TaskKind, truth: str | int) -> Re
     if isinstance(task, Judgment):
         r_task = judgment_reward(parsed, str(truth))
     else:
-        r_task = selection_reward(parsed, int(truth), n_candidates=task.candidates.size)
+        r_task = selection_reward(parsed, int(truth), task.candidates.size)
     return RewardBreakdown(r_format=format_reward(parsed), r_task=r_task)
 
 

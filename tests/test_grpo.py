@@ -386,7 +386,7 @@ class TestToySoftmaxPolicy:
                     else:
                         assert parsed.action == ("yes" if action == 0 else "no")
                     assert parsed.tag_order_ok
-                    assert parsed.user_status
+                    assert "User_status:" in parsed.think_text  # the rendered reasoning states one
 
 
     def test_vector_cache_never_serves_a_stale_episode(self, small_world):

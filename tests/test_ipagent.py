@@ -3,11 +3,12 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from simrec.core import Item
+from simrec.core import CAPTION_WORD_LIMIT, Item, word_count
 from simrec.fixtures import make_caption_responder
 from simrec.ipagent import (
-    EnhancedCaption,
     FrameScore,
     FrameScores,
     PipelineError,
@@ -71,28 +72,21 @@ class TestRunIpPipeline:
     def test_three_stage_round_trip(self):
         caption_30 = " ".join(["word"] * 28) + " # tag"
         transport = canned_pipeline(["frames noted", "characters and event", caption_30])
-        result = run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
-        assert result.word_count == 30
-        assert result.caption == caption_30
-        assert result.stage_transcripts == ("frames noted", "characters and event")
-        assert result.retries == 0
+        assert run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport) == caption_30
         assert transport.calls == 3
 
     def test_over_limit_triggers_one_corrective_retry(self):
         long_caption = " ".join(["w"] * 60)
         retry_caption = " ".join(["w"] * 34)
         transport = canned_pipeline(["a", "b", long_caption, retry_caption])
-        result = run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
-        assert result.retries == 1
-        assert result.word_count == 34
+        assert run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport) == retry_caption
         assert transport.calls == 4
 
     def test_second_violation_truncates_with_warning(self, caplog):
         transport = canned_pipeline(["a", "b", " ".join(["w"] * 60), " ".join(["x"] * 50)])
         with caplog.at_level(logging.WARNING):
-            result = run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
-        assert result.word_count == 45
-        assert result.caption == " ".join(["x"] * 45)
+            caption = run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
+        assert caption == " ".join(["x"] * 45)
         assert "truncating" in caplog.text
 
     def test_empty_stage_reply_is_pipeline_error(self):
@@ -100,7 +94,7 @@ class TestRunIpPipeline:
         with pytest.raises(PipelineError) as err:
             run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
         assert err.value.stage == "perception"
-        assert err.value.item == "v1"
+        assert "'v1'" in str(err.value)
 
     def test_image_refs_attached_to_first_turn(self):
         seen = []
@@ -114,11 +108,19 @@ class TestRunIpPipeline:
         refs = [part["image_url"]["url"] for part in first if part.get("type") == "image_url"]
         assert refs == [f.ref for f in KEYFRAMES]
 
-    def test_caption_cap_enforced_on_type(self):
-        with pytest.raises(ValueError, match="cap"):
-            EnhancedCaption(
-                item="v1", caption="x", word_count=46, stage_transcripts=("a", "b")
-            )
+    @given(st.integers(1, 3 * CAPTION_WORD_LIMIT), st.integers(1, 3 * CAPTION_WORD_LIMIT))
+    @example(CAPTION_WORD_LIMIT, 1)  # the edges of the cap
+    @example(CAPTION_WORD_LIMIT + 1, CAPTION_WORD_LIMIT + 1)
+    @settings(max_examples=60, deadline=None)
+    def test_caption_never_exceeds_the_cap(self, summary_words, retry_words):
+        summary = " ".join(["s"] * summary_words)
+        transport = canned_pipeline(["a", "b", summary, " ".join(["r"] * retry_words)])
+        caption = run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
+        assert word_count(caption) <= CAPTION_WORD_LIMIT
+        over = summary_words > CAPTION_WORD_LIMIT
+        assert transport.calls == (4 if over else 3)  # the corrective re-prompt, only when over
+        if not over:
+            assert caption == summary
 
 
 @pytest.fixture()
@@ -213,6 +215,24 @@ class TestBatchAugmentStreaming:
         )
         assert (report.written, report.skipped) == (2, 3)
         assert out.read_bytes() == reference.read_bytes()
+
+    def test_rerun_after_a_torn_last_row_gives_the_one_shot_bytes(self, tmp_path, catalog5, bundled_dataset, caplog):
+        scores = load_frame_scores(bundled_dataset["frame_scores"])
+        reference = tmp_path / "reference.jsonl"
+        batch_augment(catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), reference)
+        whole = reference.read_bytes()
+        last_row = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+        out = tmp_path / "captions.jsonl"
+        for cut in range(last_row + 1, len(whole)):  # every torn state of the last row, its "\n" always lost
+            out.write_bytes(whole[:cut])
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                report = batch_augment(catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), out)
+            assert out.read_bytes() == whole
+            assert (report.written, report.skipped) == (1, 4)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{out}: dropped a torn last line ({cut - last_row} bytes)"
+            ]
 
 
 @pytest.mark.parametrize(

@@ -46,13 +46,7 @@ class TestParseResponse:
 
     def test_empty_input(self):
         parsed = parse_response("", JUDGE)
-        assert parsed == ParsedResponse(None, None, None, False, None)
-
-    def test_user_status_extracted(self):
-        parsed = parse_response(
-            "<think>(1) User_status: curious, browsing late</think><answer>No</answer>", JUDGE
-        )
-        assert parsed.user_status == "curious, browsing late"
+        assert parsed == ParsedResponse(None, None, False, None)
 
     def test_first_tag_occurrence_wins(self):
         parsed = parse_response(
@@ -146,10 +140,10 @@ class TestRewardTables:
         assert judgment_reward(parsed, "dislike") == -1.0
 
     def test_selection_reward_out_of_range_action(self):
-        parsed = ParsedResponse("t", "9", None, True, 9)
+        parsed = ParsedResponse("t", "9", True, 9)
         assert selection_reward(parsed, truth_index=1, n_candidates=4) == -2.0
         # a bool is not an index, though True == 1
-        assert selection_reward(ParsedResponse("t", "1", None, True, True), truth_index=1) == -2.0
+        assert selection_reward(ParsedResponse("t", "1", True, True), truth_index=1, n_candidates=4) == -2.0
 
     def test_judgment_reward_missing_action(self):
         parsed = parse_response("<think>t</think><answer>??</answer>", JUDGE)
