@@ -31,5 +31,6 @@ rng = np.random.default_rng(derive_seed(0, "demo-eval"))
 episodes = [source.sample(rng, "selection") for _ in range(400)]
 print(f"\nheld-out selection accuracy: {evaluate_policy(policy, episodes):.3f} (chance 0.25)")
 
-oracle = ToySoftmaxPolicy(world, dim=8, weights=np.eye(8))
+oracle = ToySoftmaxPolicy(world, dim=8)
+oracle.set_parameters(np.eye(8))
 print(f"oracle-reading policy (upper bound): {evaluate_policy(oracle, episodes):.3f}")

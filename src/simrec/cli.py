@@ -61,7 +61,7 @@ from .recommender import (
     load_feedback,
     load_item_features,
 )
-from .rewards import parse_response, score_parsed
+from .rewards import ANSWER_LABELS, parse_response, score_parsed
 
 logger = logging.getLogger(__name__)
 
@@ -329,7 +329,7 @@ def _simulation_metrics(episodes: list[Episode], rows: list[dict]) -> dict:
     }
     judged = [row for row in rows if row["task"] == "judgment"]
     if judged:
-        predictions = [{"yes": "like", "no": "dislike"}.get(row["action"]) for row in judged]
+        predictions = [ANSWER_LABELS.get(row["action"]) for row in judged]
         metrics.update(classification_metrics(predictions, [row["truth"] for row in judged])._asdict())
         metrics["parse_failures"] = sum(row["action"] is None for row in judged)
     hits: dict[int, list[bool]] = {}

@@ -316,8 +316,9 @@ def generate_synthetic_world(
     if dim < 1:
         raise ValueError("need dim >= 1")
     span = (history_length, history_length) if isinstance(history_length, int) else history_length
-    if span[0] < 2:
-        raise ValueError("histories need at least 2 behaviors")
+    if not 2 <= span[0] <= span[1] <= n_items:
+        # a history holds each item at most once, and at least a profile item and a target
+        raise ValueError(f"history_length must lie in [2, n_items={n_items}], low <= high; got {history_length!r}")
     if pool_size > n_items:
         raise ValueError("pool_size cannot exceed the item count")
 

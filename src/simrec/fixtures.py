@@ -16,14 +16,15 @@ from __future__ import annotations
 import hashlib
 import re
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import save_interactions, write_jsonl
-from .env import Episode, generate_synthetic_world
-from .ipagent import FOCUS_PROMPT, LIMIT_REMINDER, PERCEPTION_PROMPT, SUMMARY_PROMPT
+from .env import generate_synthetic_world
+from .ipagent import FOCUS_PROMPT, PERCEPTION_PROMPT, SUMMARY_PROMPT
 from .llmclient import ChatMessage, ChatRequest, text_response
+from .rewards import render_reply
 
 SIM_MODEL = "user-sim"
 
@@ -120,29 +121,6 @@ def _last_user_text(payload: dict) -> str:
     raise ValueError("payload has no user message")
 
 
-def _transcript(answer: str) -> str:
-    return f"<think>(1) User_status: steady viewing habits</think><answer>(2) Next_video: {answer}</answer>"
-
-
-def make_perfect_responder(episodes: Sequence[Episode]) -> Callable[[dict], dict]:
-    """Answers every known episode prompt with its ground truth."""
-    truths = {ep.prompt: ep.truth for ep in episodes}
-
-    def responder(payload: dict) -> dict:
-        truth = truths[_last_user_text(payload)]
-        answer = str(truth) if isinstance(truth, int) else ("Yes" if truth == "like" else "No")
-        return text_response(_transcript(answer))
-
-    return responder
-
-
-def make_always_yes_responder() -> Callable[[dict], dict]:
-    def responder(payload: dict) -> dict:
-        return text_response(_transcript("Yes"))
-
-    return responder
-
-
 def make_uniform_responder(n_candidates: int, seed: int = 0) -> Callable[[dict], dict]:
     """Picks a candidate index uniformly via a prompt hash (order-independent)."""
 
@@ -150,7 +128,7 @@ def make_uniform_responder(n_candidates: int, seed: int = 0) -> Callable[[dict],
         prompt = _last_user_text(payload)
         digest = hashlib.sha256(f"{seed}|{prompt}".encode("utf-8")).digest()
         index = int.from_bytes(digest[:8], "big") % n_candidates + 1
-        return text_response(_transcript(str(index)))
+        return text_response(render_reply("steady viewing habits", str(index)))
 
     return responder
 
@@ -171,8 +149,6 @@ def make_caption_responder() -> Callable[[dict], dict]:
             )
         if prompt == SUMMARY_PROMPT:
             return text_response(f"{title} delivers a brisk, watchable moment # demo clip # short video")
-        if prompt == LIMIT_REMINDER:
-            return text_response(f"{title} in one tight take # demo clip")
         raise ValueError(f"caption responder got an unexpected prompt: {prompt[:60]}...")
 
     return responder

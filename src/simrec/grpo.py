@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import Judgment, Selection, _encode_sorted
 from .env import Episode, SyntheticEpisodeSource, SyntheticWorld
-from .rewards import total_reward
+from .rewards import render_reply, total_reward
 
 
 @dataclass(frozen=True)
@@ -168,26 +168,19 @@ class ToySoftmaxPolicy:
 
     Selection episodes score each candidate k as u·W·v_k / tau and sample from
     the softmax; judgment episodes use the symmetric two-way softmax over
-    [s, -s] with s = u·W·v / tau (action 0 = Yes, action 1 = No).
+    [s, -s] with s = u·W·v / tau (action 0 = Yes, action 1 = No). W starts
+    at zero; ``set_parameters`` sets it.
     ``render_action`` wraps an action in the two-tag transcript the reward
     parser expects.
     """
 
-    def __init__(
-        self,
-        vectors: SyntheticWorld,
-        dim: int,
-        temperature: float = 2.5,
-        weights: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, vectors: SyntheticWorld, dim: int, temperature: float = 2.5) -> None:
         if temperature <= 0.0:
             raise ValueError("temperature must be positive")
         self._vectors = vectors
         self.dim = dim
         self.temperature = temperature
-        self.W = np.zeros((dim, dim)) if weights is None else np.array(weights, dtype=float)
-        if self.W.shape != (dim, dim):
-            raise ValueError(f"weights must have shape ({dim}, {dim})")
+        self.W = np.zeros((dim, dim))
         # The last episode and its (u, v): a training step asks for the same
         # episode's vectors three times. Vectors only, never weights.
         self._last: tuple[Episode, np.ndarray, np.ndarray] | None = None
@@ -246,7 +239,7 @@ def render_action(episode: Episode, action: int) -> str:
     else:
         answer = str(action + 1)
         status = f"weighing {episode.task.candidates.size} candidates for user {episode.user}"
-    return f"<think>(1) User_status: {status}</think><answer>(2) Next_video: {answer}</answer>"
+    return render_reply(status, answer)
 
 
 def truth_token(episode: Episode) -> int:

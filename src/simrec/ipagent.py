@@ -10,9 +10,9 @@ with one corrective re-prompt before truncating.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,10 +21,12 @@ from .core import (
     CAPTION_WORD_LIMIT,
     Item,
     ItemId,
+    _encode_sorted,
     drop_torn_last_line,
     iter_jsonl,
     read_jsonl_by_item,
     word_count,
+    write_jsonl,
 )
 from .llmclient import (
     ChatMessage,
@@ -219,7 +221,9 @@ def batch_augment(
     batch continues. Up to ``parallelism`` items are
     captioned at once, and each row is written and flushed as soon as every
     earlier item is done, in sorted item order, so an interrupted run leaves
-    a sorted prefix on disk and reruns are byte-identical.
+    a sorted prefix on disk. A run that adds rows to an earlier run's ends by
+    rewriting the file in item order (a temp file, then ``os.replace``), so
+    a rerun after failures or a crash gives the one-shot bytes.
     """
     if not isinstance(frame_scores, dict):
         frame_scores = load_frame_scores(frame_scores)
@@ -259,11 +263,14 @@ def batch_augment(
             elif isinstance(result, ClientError):
                 report.failures.append((item_id, f"transport: {result}"))
             else:
-                handle.write(
-                    json.dumps({"item": item_id, "caption": result}, sort_keys=True) + "\n"
-                )
+                handle.write(_encode_sorted({"item": item_id, "caption": result}) + "\n")
                 handle.flush()
                 report.written += 1
 
         _run_ordered(caption_one, todo, parallelism, write)
+    if done and report.written:
+        # this run's rows follow the earlier runs' rows: restore the one-shot order
+        temp = out_path.with_name(out_path.name + ".tmp")
+        write_jsonl(temp, sorted((row for _, row in iter_jsonl(out_path)), key=_caption_row_item))
+        os.replace(temp, out_path)
     return report

@@ -24,10 +24,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence, TypeVar
 
-from .core import drop_torn_last_line, iter_jsonl
+from .core import _encode_sorted, drop_torn_last_line, iter_jsonl
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+API_KEY_ENV = "SIMREC_API_KEY"  # HttpTransport sends its value as a bearer token, when set
 
 
 class ClientError(RuntimeError):
@@ -90,7 +92,6 @@ class ChatRequest:
 @dataclass(frozen=True)
 class EndpointConfig:
     base_url: str = ""
-    auth_env: str = "SIMREC_API_KEY"
     timeout: float = 30.0
     max_retries: int = 3
     max_in_flight: int = 4
@@ -111,7 +112,7 @@ class Transport:
 
 
 class HttpTransport(Transport):
-    """JSON-over-HTTP transport; the auth token comes from the environment."""
+    """JSON-over-HTTP transport; the auth token comes from ``API_KEY_ENV``."""
 
     def __init__(self, cfg: EndpointConfig) -> None:
         if not cfg.base_url:
@@ -127,7 +128,7 @@ class HttpTransport(Transport):
 
         url = self.cfg.base_url.rstrip("/") + "/v1/chat/completions"
         headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.cfg.auth_env)
+        token = os.environ.get(API_KEY_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         request = urllib.request.Request(
@@ -137,6 +138,7 @@ class HttpTransport(Transport):
             with urllib.request.urlopen(request, timeout=self.cfg.timeout) as response:
                 body = response.read()
         except urllib.error.HTTPError as exc:
+            exc.close()  # its unread reply holds the socket open for as long as the error lives
             if 400 <= exc.code < 500 and exc.code not in (408, 429):
                 raise PermanentTransportError(f"{url}: HTTP {exc.code}") from exc
             raise TransportError(f"{url}: HTTP {exc.code}") from exc
@@ -161,13 +163,11 @@ class MockTransport(Transport):
         self,
         script: Sequence[object] | None = None,
         responder: Callable[[dict], object] | None = None,
-        latency: float = 0.0,
     ) -> None:
         if (script is None) == (responder is None):
             raise ValueError("provide exactly one of script or responder")
         self._script = list(script) if script is not None else None
         self._responder = responder
-        self._latency = latency
         self._lock = threading.Lock()
         self.calls = 0
         self.in_flight = 0
@@ -185,8 +185,6 @@ class MockTransport(Transport):
             else:
                 entry = None
         try:
-            if self._latency:
-                time.sleep(self._latency)
             if entry is None:
                 assert self._responder is not None
                 entry = self._responder(payload)
@@ -226,7 +224,7 @@ class RecordingTransport(Transport):
 
     def send(self, payload: dict) -> dict:
         response = self.inner.send(payload)
-        row = json.dumps({"request": payload, "response": response}, sort_keys=True) + "\n"
+        row = _encode_sorted({"request": payload, "response": response}) + "\n"
         with self._lock:
             if self._handle is None:
                 drop_torn_last_line(self.path)

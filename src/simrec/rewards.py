@@ -5,13 +5,14 @@ Agent responses follow the two-tag transcript convention::
     <think> reasoning, including "(1) User_status: ..." </think>
     <answer> the final answer, e.g. "(2) Next_video: 3" or "Yes" </answer>
 
-``parse_response`` decomposes any text into the tag spans and a legal action:
-``"yes"``/``"no"`` for a judgment, a 1-based candidate index (an ``int``) for
-a selection, or ``None`` when no legal action parses. The reward functions
-score format compliance and task correctness from finite score tables,
-``score_parsed`` composes them for a parsed response, and ``total_reward``
-parses and scores raw text. All functions are pure and never raise on
-arbitrary input text.
+``render_reply`` writes that form. ``parse_response`` decomposes any text
+into the tag spans and a legal action: ``"yes"``/``"no"`` for a judgment
+(``ANSWER_LABELS`` maps it to the like/dislike label it predicts), a 1-based
+candidate index (an ``int``) for a selection, or ``None`` when no legal
+action parses. The reward functions score format compliance and task
+correctness from finite score tables, ``score_parsed`` composes them for a
+parsed response, and ``total_reward`` parses and scores raw text. All
+functions are pure and never raise on arbitrary input text.
 
 Score tables:
 
@@ -38,6 +39,8 @@ _INT_RE = re.compile(r"[-+]?\d+")
 _QUOTES = "\"'`\u2018\u2019\u201c\u201d"
 _CLOSING = _QUOTES + ".,;:!?"
 
+ANSWER_LABELS = {"yes": "like", "no": "dislike"}
+
 
 @dataclass(frozen=True)
 class ParsedResponse:
@@ -63,6 +66,11 @@ class RewardBreakdown:
     @property
     def total(self) -> float:
         return self.r_format + self.r_task
+
+
+def render_reply(status: str, answer: str) -> str:
+    """The two-tag transcript ``parse_response`` reads: a user status, then the answer."""
+    return f"<think>(1) User_status: {status}</think><answer>(2) Next_video: {answer}</answer>"
 
 
 def _parse_judgment_action(answer: str) -> str | None:
@@ -150,9 +158,8 @@ def judgment_reward(parsed: ParsedResponse, truth: str) -> float:
     """+1 when the Yes/No action matches the like/dislike truth, else -1."""
     if truth not in ("like", "dislike"):
         raise ValueError(f"judgment truth must be like/dislike, got {truth!r}")
-    if parsed.action not in ("yes", "no"):
-        return -1.0
-    predicted = "like" if parsed.action == "yes" else "dislike"
+    # a hand-built action that is not a string need not be hashable
+    predicted = ANSWER_LABELS.get(parsed.action) if isinstance(parsed.action, str) else None
     return 1.0 if predicted == truth else -1.0
 
 

@@ -1,0 +1,25 @@
+"""Scripted simulate responders that only the tests use."""
+
+from simrec.llmclient import text_response
+from simrec.rewards import render_reply
+
+STATUS = "steady viewing habits"
+
+
+def make_perfect_responder(episodes):
+    """Answers every known episode prompt with its ground truth."""
+    truths = {ep.prompt: ep.truth for ep in episodes}
+
+    def responder(payload):
+        truth = truths[payload["messages"][-1]["content"]]
+        answer = str(truth) if isinstance(truth, int) else ("Yes" if truth == "like" else "No")
+        return text_response(render_reply(STATUS, answer))
+
+    return responder
+
+
+def make_always_yes_responder():
+    def responder(payload):
+        return text_response(render_reply(STATUS, "Yes"))
+
+    return responder

@@ -8,16 +8,11 @@ import pytest
 
 from simrec.cli import main
 from simrec.env import EnvConfig, SyntheticEpisodeSource, export_episodes, generate_synthetic_world
-from simrec.fixtures import (
-    make_always_yes_responder,
-    make_caption_responder,
-    make_perfect_responder,
-    make_uniform_responder,
-    simulation_request,
-    write_synthetic_dataset,
-)
+from simrec.fixtures import make_caption_responder, make_uniform_responder, simulation_request, write_synthetic_dataset
 from simrec.llmclient import EndpointConfig, MockTransport, RecordingTransport, complete_batch, text_response
+from simrec.rewards import render_reply
 from conftest import DATA_DIR
+from responders import make_always_yes_responder, make_perfect_responder
 
 
 def run(*argv):
@@ -648,7 +643,7 @@ def make_messy_responder(episodes):
         caption = task.captions[-1] if hasattr(task, "candidates") else task.item
         answers = [correct, wrong, str(size + 1), caption, "No"]
         if place % 7 < 5:
-            text = f"<think>(1) User_status: browsing</think><answer>(2) Next_video: {answers[place % 7]}</answer>"
+            text = render_reply("browsing", answers[place % 7])
         else:
             text = "I would pick the first one" if place % 7 == 5 else "<think>unsure</think><answer></answer>"
         return text_response(text)
@@ -730,6 +725,13 @@ class TestConfigValues:
         argv = command_argv(command, replayed_episodes)
         assert run(command, "--config", cfg, *argv, "--out", tmp_path / "run") == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [301, [9, 4]])
+    def test_unusable_history_length_exits_2_naming_the_key(self, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"history_length": value}))
+        assert run("train-toy", "--config", cfg, "--iters", 4, "--eval-episodes", 4, "--out", tmp_path / "run") == 2
+        assert "error: history_length must lie in [2, n_items=300]" in capsys.readouterr().err
 
     def test_unknown_train_toy_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

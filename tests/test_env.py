@@ -192,7 +192,8 @@ class TestSyntheticWorld:
 
     def test_oracle_reader_policy_achieves_perfect_selection(self, small_world):
         world, _, _, source = small_world
-        oracle = ToySoftmaxPolicy(world, dim=world.dim, weights=np.eye(world.dim))
+        oracle = ToySoftmaxPolicy(world, dim=world.dim)
+        oracle.set_parameters(np.eye(world.dim))
         rng = np.random.default_rng(33)
         episodes = [source.sample(rng, "selection") for _ in range(300)]
         assert evaluate_policy(oracle, episodes) == 1.0
@@ -253,6 +254,16 @@ class TestSyntheticWorld:
             generate_synthetic_world(1, 30, 4, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic_world(4, 30, 0, seed=0)
+
+    @pytest.mark.parametrize("history_length", [31, (9, 4), 1, (1, 3), (4, 31)])
+    def test_bad_history_length_is_named_before_any_draw(self, history_length):
+        # numpy's own errors ("low >= high", "argmax of an empty sequence") would mean a draw ran first
+        with pytest.raises(ValueError, match=r"^history_length must lie in \[2, n_items=30\], low <= high; got "):
+            generate_synthetic_world(4, 30, 4, seed=0, history_length=history_length)
+
+    def test_history_length_may_equal_the_item_count(self):
+        _, _, histories = generate_synthetic_world(3, 6, 2, seed=0, history_length=(5, 6), pool_size=4)
+        assert all(len(set(h.item_ids())) == len(h) in (5, 6) for h in histories)
 
 
 _TEXT = st.text(max_size=12)

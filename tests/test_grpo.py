@@ -397,7 +397,8 @@ class TestToySoftmaxPolicy:
         for episode in (a, b, a):
             theta = rng.standard_normal(16)
             policy.set_parameters(theta)
-            fresh = ToySoftmaxPolicy(world, dim=4, weights=theta.reshape(4, 4))
+            fresh = ToySoftmaxPolicy(world, dim=4)
+            fresh.set_parameters(theta)
             assert np.array_equal(policy.log_probs(episode), fresh.log_probs(episode))
             assert np.array_equal(policy.log_prob_gradients(episode), fresh.log_prob_gradients(episode))
 

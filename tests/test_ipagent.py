@@ -1,5 +1,7 @@
 import json
 import logging
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from simrec.ipagent import (
     run_ip_pipeline,
     select_keyframes,
 )
-from simrec.llmclient import EndpointConfig, MockTransport, ReplayTransport, RecordingTransport
+from simrec.llmclient import EndpointConfig, MockTransport, ReplayTransport, RecordingTransport, TransportError
 
 CFG = EndpointConfig(max_retries=0, backoff_base=0.0)
 
@@ -233,6 +235,37 @@ class TestBatchAugmentStreaming:
             assert [r.getMessage() for r in caplog.records] == [
                 f"{out}: dropped a torn last line ({cut - last_row} bytes)"
             ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(failing=st.sets(st.integers(0, 4)), parallelism=st.sampled_from([1, 2]))
+    def test_rerun_after_failed_items_gives_the_one_shot_bytes(
+        self, tmp_path_factory, bundled_catalog_histories, bundled_dataset, failing, parallelism
+    ):
+        catalog, _ = bundled_catalog_histories
+        scores = load_frame_scores(bundled_dataset["frame_scores"])
+        down = {sorted(scores)[i] for i in failing}
+        base = make_caption_responder()
+
+        def responder(payload):
+            body = base(payload)
+            if any(item in body["choices"][0]["message"]["content"] for item in down):
+                raise TransportError("endpoint down")
+            return body
+
+        root = tmp_path_factory.mktemp("rerun")
+        reference, out = root / "reference.jsonl", root / "captions.jsonl"
+        batch_augment(catalog, scores, CFG, MockTransport(responder=base), reference)
+        with mock.patch("os.replace", wraps=os.replace) as replace:
+            first = batch_augment(catalog, scores, CFG, MockTransport(responder=responder), out, parallelism=parallelism)
+            fresh_rewrites = replace.call_count
+            second = batch_augment(catalog, scores, CFG, MockTransport(responder=base), out, parallelism=parallelism)
+        assert out.read_bytes() == reference.read_bytes()
+        assert sorted(item for item, _ in first.failures) == sorted(down)
+        assert (first.written, first.skipped) == (5 - len(down), 0)
+        assert (second.written, second.skipped, second.failures) == (len(down), 5 - len(down), [])
+        # only a run that adds rows to an earlier run's rewrites, and it leaves no temp file
+        assert (fresh_rewrites, replace.call_count) == (0, 1 if 0 < len(down) < 5 else 0)
+        assert sorted(p.name for p in root.iterdir()) == ["captions.jsonl", "reference.jsonl"]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import http.client
+import http.server
 import io
 import json
 import logging
@@ -155,17 +156,138 @@ class TestComplete:
             HttpTransport(CFG)
 
 
+OK_BODY = json.dumps(text_response("ok")).encode()
+
+
+def reply(status, body=b"", length=None):
+    """A scripted reply: ``status`` and ``body``, announced as ``length`` bytes (default: its size)."""
+
+    def send(handler):
+        handler.send_response(status)
+        handler.send_header("Content-Length", str(len(body) if length is None else length))
+        handler.end_headers()
+        handler.wfile.write(body)
+
+    return send
+
+
+def hang(handler):
+    """Answer nothing until the test ends, so the client's timeout fires first."""
+    handler.server.done.wait(10)
+
+
+def hang_up(handler):
+    """Close the connection without a status line."""
+
+
+class Loopback:
+    """A stdlib HTTP server on 127.0.0.1 that answers the n-th POST with ``replies[n]``
+    and keeps each request's headers and JSON body."""
+
+    def __init__(self):
+        self.replies = []
+        self.requests = []
+        owner = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            disable_nagle_algorithm = True  # else delayed ACKs add about 40 ms per request
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                owner.requests.append((dict(self.headers), json.loads(body)))
+                owner.replies[len(owner.requests) - 1](self)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.server.done = threading.Event()
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,))  # poll: quick shutdown
+        self.thread.start()
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+
+    def close(self):
+        self.server.done.set()
+        self.server.shutdown()
+        self.server.server_close()  # also joins the request threads
+        self.thread.join(10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture()
+def loopback(monkeypatch):
+    monkeypatch.setenv("no_proxy", "127.0.0.1")  # never route the test's requests through a proxy
+    server = Loopback()
+    yield server
+    server.close()
+
+
+class TestHttpOverLoopback:
+    """``HttpTransport`` against a real socket: each fault reaches its retry or no-retry branch."""
+
+    def complete(self, loopback, *replies, max_retries=2, timeout=10.0):
+        loopback.replies.extend(replies)
+        cfg = EndpointConfig(base_url=loopback.url, timeout=timeout, max_retries=max_retries, backoff_base=0.5)
+        sleeps = []
+        try:
+            return complete(request(), cfg, transport=HttpTransport(cfg), sleep=sleeps.append), sleeps
+        finally:
+            assert all(body == request().to_payload() for _, body in loopback.requests)
+
+    @pytest.mark.parametrize("code", [429, 503])
+    def test_overload_then_success_is_retried(self, loopback, code):
+        assert self.complete(loopback, reply(code), reply(200, OK_BODY)) == ("ok", [0.5])
+        assert len(loopback.requests) == 2
+
+    def test_bad_request_is_permanent(self, loopback):
+        with pytest.raises(PermanentTransportError, match="HTTP 400"):
+            self.complete(loopback, reply(400))
+        assert len(loopback.requests) == 1
+
+    @pytest.mark.parametrize(
+        "fault", [hang, reply(200, OK_BODY[:10], length=len(OK_BODY)), hang_up], ids=["timeout", "short-body", "closed"]
+    )
+    def test_socket_fault_is_retried_then_a_transport_error(self, loopback, fault):
+        with pytest.raises(TransportError, match="giving up after 2 attempts") as info:
+            self.complete(loopback, fault, fault, max_retries=1, timeout=0.2)
+        assert not isinstance(info.value, PermanentTransportError)
+        assert len(loopback.requests) == 2
+
+    def test_non_utf8_body_is_a_protocol_error_not_retried(self, loopback):
+        with pytest.raises(ProtocolError, match="not UTF-8 JSON"):
+            self.complete(loopback, reply(200, b"\xff\xfe{}"))
+        assert len(loopback.requests) == 1
+
+    def test_bearer_token_only_when_the_key_is_set(self, loopback, monkeypatch):
+        monkeypatch.setenv("SIMREC_API_KEY", "sk-test")
+        assert self.complete(loopback, reply(200, OK_BODY))[0] == "ok"
+        monkeypatch.delenv("SIMREC_API_KEY")
+        assert self.complete(loopback, reply(200, OK_BODY))[0] == "ok"
+        (with_key, _), (without_key, _) = loopback.requests
+        assert with_key["Authorization"] == "Bearer sk-test"
+        assert "Authorization" not in without_key
+        assert with_key["Content-Type"] == without_key["Content-Type"] == "application/json"
+
+
+def sleeping(seconds, answer):
+    """A responder that sleeps ``seconds``, inside the mock's in-flight count, then answers ``answer(payload)``."""
+
+    def responder(payload):
+        time.sleep(seconds)
+        return answer(payload)
+
+    return responder
+
+
 class TestCompleteBatch:
     def test_bounded_concurrency(self):
-        transport = MockTransport(responder=lambda payload: "r", latency=0.01)
+        transport = MockTransport(responder=sleeping(0.01, lambda payload: "r"))
         results = complete_batch([request(str(i)) for i in range(10)], CFG, transport=transport)
         assert results == ["r"] * 10
         assert transport.max_in_flight_seen <= CFG.max_in_flight
 
     def test_results_in_input_order(self):
-        transport = MockTransport(
-            responder=lambda payload: payload["messages"][0]["content"], latency=0.005
-        )
+        transport = MockTransport(responder=sleeping(0.005, lambda payload: payload["messages"][0]["content"]))
         texts = [f"msg-{i}" for i in range(12)]
         results = complete_batch([request(t) for t in texts], CFG, transport=transport)
         assert results == texts

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from simrec.core import CandidateSet, Judgment, Selection
 from simrec.rewards import (
     _ENUM_PREFIX_RE,
+    ANSWER_LABELS,
     ParsedResponse,
     format_reward,
     judgment_reward,
     parse_response,
+    render_reply,
     score_parsed,
     selection_reward,
     total_reward,
@@ -148,6 +150,26 @@ class TestRewardTables:
     def test_judgment_reward_missing_action(self):
         parsed = parse_response("<think>t</think><answer>??</answer>", JUDGE)
         assert judgment_reward(parsed, "like") == -1.0
+
+    @pytest.mark.parametrize("action", [None, "maybe", "Yes", 1, 0, True, ("yes",), ["yes"], {"yes": 1}])
+    def test_judgment_reward_scores_every_other_hand_built_action_minus_one(self, action):
+        parsed = ParsedResponse("t", "x", True, action)
+        assert judgment_reward(parsed, "like") == judgment_reward(parsed, "dislike") == -1.0
+
+    @pytest.mark.parametrize("answer, truth", [("Yes", "like"), ("No", "dislike")])
+    def test_rendered_reply_scores_full_marks(self, answer, truth):
+        parsed = parse_response(render_reply("some status", answer), JUDGE)
+        assert parsed.think_text == "(1) User_status: some status"
+        assert ANSWER_LABELS[parsed.action] == truth
+        assert total_reward(render_reply("s", answer), JUDGE, truth).total == 2.0
+        other = "dislike" if truth == "like" else "like"
+        assert total_reward(render_reply("s", answer), JUDGE, other).total == 0.0
+
+    def test_rendered_selection_reply_names_its_index(self):
+        task = selection_task(m=3, truth_pos=3)
+        for index in range(1, 5):
+            assert parse_response(render_reply("s", str(index)), task).action == index
+        assert total_reward(render_reply("s", "3"), task, 3).total == 3.0
 
 
 FORMAT_VALUES = {1.0, 0.5, 0.0, -1.0}
