@@ -17,8 +17,9 @@ from simrec.llmclient import EndpointConfig, MockTransport, RecordingTransport, 
 
 data = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 catalog, _ = load_interactions(data / "interactions.jsonl")
-scores = load_frame_scores(data / "frame_scores.jsonl")
-cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
+frame_scores = data / "frame_scores.jsonl"
+scores = load_frame_scores(frame_scores)
+cfg = EndpointConfig(max_retries=0)
 
 first_item = sorted(scores)[0]
 picked = select_keyframes(scores[first_item])
@@ -28,11 +29,11 @@ with tempfile.TemporaryDirectory(prefix="caption-demo-") as tmp:
     workdir = Path(tmp)
     replay_log = workdir / "replay.jsonl"
     with RecordingTransport(MockTransport(responder=make_caption_responder()), replay_log) as live:
-        report = batch_augment(catalog, scores, cfg, live, workdir / "captions_live.jsonl")
+        report = batch_augment(catalog, frame_scores, cfg, live, workdir / "captions_live.jsonl")
     print(f"\nlive run:   written={report.written} skipped={report.skipped} failures={report.failures}")
 
     replayed = batch_augment(
-        catalog, scores, cfg, ReplayTransport(replay_log), workdir / "captions_replay.jsonl"
+        catalog, frame_scores, cfg, ReplayTransport(replay_log), workdir / "captions_replay.jsonl"
     )
     print(f"replay run: written={replayed.written}")
     live_captions = (workdir / "captions_live.jsonl").read_bytes()

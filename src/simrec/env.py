@@ -316,7 +316,7 @@ def generate_synthetic_world(
     if dim < 1:
         raise ValueError("need dim >= 1")
     span = (history_length, history_length) if isinstance(history_length, int) else history_length
-    if not 2 <= span[0] <= span[1] <= n_items:
+    if len(span) != 2 or not 2 <= span[0] <= span[1] <= n_items:
         # a history holds each item at most once, and at least a profile item and a target
         raise ValueError(f"history_length must lie in [2, n_items={n_items}], low <= high; got {history_length!r}")
     if pool_size > n_items:

@@ -205,7 +205,7 @@ def _existing_caption_items(path: Path) -> set[ItemId]:
 
 def batch_augment(
     catalog: dict[ItemId, Item],
-    frame_scores: dict[ItemId, FrameScores] | str | Path,
+    frame_scores: str | Path,
     cfg: EndpointConfig,
     transport: Transport,
     out_path: str | Path,
@@ -213,7 +213,7 @@ def batch_augment(
     parallelism: int = 1,
     stats: ClientStats | None = None,
 ) -> BatchReport:
-    """Caption every item with frame scores, appending rows to ``out_path`` incrementally.
+    """Caption every item in the ``frame_scores`` file, appending rows to ``out_path`` incrementally.
 
     Resumable: a torn last row left by a crash is cut off, then items that
     already have a caption row in the output are skipped. Items missing from
@@ -225,15 +225,14 @@ def batch_augment(
     rewriting the file in item order (a temp file, then ``os.replace``), so
     a rerun after failures or a crash gives the one-shot bytes.
     """
-    if not isinstance(frame_scores, dict):
-        frame_scores = load_frame_scores(frame_scores)
+    scores = load_frame_scores(frame_scores)
     out_path = Path(out_path)
     report = BatchReport()
     drop_torn_last_line(out_path)
     done = _existing_caption_items(out_path)
 
     todo: list[ItemId] = []
-    for item_id in sorted(frame_scores):
+    for item_id in sorted(scores):
         if item_id in done:
             report.skipped += 1
         elif item_id not in catalog:
@@ -245,7 +244,7 @@ def batch_augment(
         try:
             return item_id, run_ip_pipeline(
                 catalog[item_id],
-                select_keyframes(frame_scores[item_id]),
+                select_keyframes(scores[item_id]),
                 cfg,
                 transport,
                 model=model,

@@ -3,8 +3,9 @@
 All external model calls go through a ``Transport`` that takes the JSON
 request payload and returns the JSON response body (the de-facto
 ``POST /v1/chat/completions`` schema). Besides the real HTTP transport there
-is a scriptable mock for tests, plus recording/replay transports so any
-pipeline can be re-run byte-identically without a live endpoint.
+is an in-memory mock that answers through a callable, plus recording/replay
+transports so any pipeline can be re-run byte-identically without a live
+endpoint.
 
 A batch runs on at most ``max_in_flight`` plain worker threads. Each worker
 takes the next request in turn, and results are handed on in input order as
@@ -17,6 +18,7 @@ the batch ends.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
@@ -30,6 +32,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 API_KEY_ENV = "SIMREC_API_KEY"  # HttpTransport sends its value as a bearer token, when set
+BACKOFF_BASE = 0.5  # seconds before the first retry; doubles per retry
 
 
 class ClientError(RuntimeError):
@@ -95,9 +98,10 @@ class EndpointConfig:
     timeout: float = 30.0
     max_retries: int = 3
     max_in_flight: int = 4
-    backoff_base: float = 0.5  # seconds; doubles per retry
 
     def __post_init__(self) -> None:
+        if not 0 < self.timeout < math.inf:  # also rejects nan
+            raise ValueError(f"timeout must be a finite number of seconds above 0, got {self.timeout!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.max_in_flight < 1:
@@ -132,7 +136,7 @@ class HttpTransport(Transport):
         if token:
             headers["Authorization"] = f"Bearer {token}"
         request = urllib.request.Request(
-            url, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+            url, data=_encode_sorted(payload).encode("utf-8"), headers=headers, method="POST"
         )
         try:
             with urllib.request.urlopen(request, timeout=self.cfg.timeout) as response:
@@ -151,22 +155,14 @@ class HttpTransport(Transport):
 
 
 class MockTransport(Transport):
-    """Scriptable in-memory transport for tests.
+    """In-memory transport that answers each payload through ``responder``.
 
-    Either a ``responder`` callable (payload -> response dict or raw text) or
-    a ``script`` of canned entries consumed in order; entries may be response
-    dicts, raw strings, or exceptions to raise. Tracks total and concurrent
-    calls so tests can assert retry counts and in-flight bounds.
+    The responder returns a response dict or raw text, or raises. Tracks
+    total and concurrent calls so tests can assert retry counts and in-flight
+    bounds.
     """
 
-    def __init__(
-        self,
-        script: Sequence[object] | None = None,
-        responder: Callable[[dict], object] | None = None,
-    ) -> None:
-        if (script is None) == (responder is None):
-            raise ValueError("provide exactly one of script or responder")
-        self._script = list(script) if script is not None else None
+    def __init__(self, responder: Callable[[dict], dict | str]) -> None:
         self._responder = responder
         self._lock = threading.Lock()
         self.calls = 0
@@ -178,21 +174,9 @@ class MockTransport(Transport):
             self.calls += 1
             self.in_flight += 1
             self.max_in_flight_seen = max(self.max_in_flight_seen, self.in_flight)
-            if self._script is not None:
-                if not self._script:
-                    raise AssertionError("mock script exhausted")
-                entry = self._script.pop(0)
-            else:
-                entry = None
         try:
-            if entry is None:
-                assert self._responder is not None
-                entry = self._responder(payload)
-            if isinstance(entry, Exception):
-                raise entry
-            if isinstance(entry, str):
-                return text_response(entry)
-            return entry  # type: ignore[return-value]
+            reply = self._responder(payload)
+            return text_response(reply) if isinstance(reply, str) else reply
         finally:
             with self._lock:
                 self.in_flight -= 1
@@ -201,10 +185,6 @@ class MockTransport(Transport):
 def text_response(content: str) -> dict:
     """A minimal completion body whose first choice says ``content``."""
     return {"choices": [{"message": {"role": "assistant", "content": content}}]}
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class RecordingTransport(Transport):
@@ -249,7 +229,7 @@ class RecordingTransport(Transport):
 def _replay_pair(row: dict) -> tuple[str, dict]:
     if "request" not in row or "response" not in row:
         raise ValueError("replay row needs 'request' and 'response'")
-    return _canonical(row["request"]), row["response"]
+    return _encode_sorted(row["request"]), row["response"]
 
 
 class ReplayTransport(Transport):
@@ -267,7 +247,7 @@ class ReplayTransport(Transport):
             self._responses.setdefault(key, []).append(response)
 
     def send(self, payload: dict) -> dict:
-        key = _canonical(payload)
+        key = _encode_sorted(payload)
         with self._lock:
             queue = self._responses.get(key)
             if not queue:
@@ -298,9 +278,10 @@ def complete(
 ) -> str:
     """Send one chat request and return the first choice's message content.
 
-    Transport failures are retried up to ``cfg.max_retries`` times with
-    exponential backoff, except a PermanentTransportError, which is raised at
-    once; an undecodable or malformed success body raises ProtocolError.
+    Transport failures are retried up to ``cfg.max_retries`` times, sleeping
+    ``BACKOFF_BASE`` seconds doubled per retry, except a
+    PermanentTransportError, which is raised at once; an undecodable or
+    malformed success body raises ProtocolError.
     """
     payload = req.to_payload()
     last_error: TransportError | None = None
@@ -313,8 +294,8 @@ def complete(
             raise
         except TransportError as exc:
             last_error = exc
-            if attempt < cfg.max_retries and cfg.backoff_base > 0:
-                sleep(cfg.backoff_base * (2**attempt))
+            if attempt < cfg.max_retries:
+                sleep(BACKOFF_BASE * (2**attempt))
             continue
         if stats is not None:
             stats.record(attempt + 1)

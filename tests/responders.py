@@ -1,6 +1,8 @@
-"""Scripted simulate responders that only the tests use."""
+"""Scripted responders and mocks that only the tests use."""
 
-from simrec.llmclient import text_response
+from collections import deque
+
+from simrec.llmclient import MockTransport, text_response
 from simrec.rewards import render_reply
 
 STATUS = "steady viewing habits"
@@ -23,3 +25,20 @@ def make_always_yes_responder():
         return text_response(render_reply(STATUS, "Yes"))
 
     return responder
+
+
+def scripted_mock(entries):
+    """A ``MockTransport`` whose n-th send answers ``entries[n]``: a response dict
+    or text, or an exception to raise. A send past the last entry fails the test."""
+    queue = deque(entries)
+
+    def responder(payload):
+        try:
+            entry = queue.popleft()
+        except IndexError:
+            raise AssertionError("mock script exhausted") from None
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
+
+    return MockTransport(responder)

@@ -268,7 +268,7 @@ def test_c06_metric_oracles():
 def test_c07_ip_pipeline_determinism(tmp_path):
     started = time.perf_counter()
     catalog, _ = load_interactions(DATA_DIR / "interactions.jsonl")
-    cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
+    cfg = EndpointConfig(max_retries=0)
     replay_log = tmp_path / "replay.jsonl"
     with RecordingTransport(MockTransport(responder=make_caption_responder()), replay_log) as live:
         batch_augment(catalog, DATA_DIR / "frame_scores.jsonl", cfg, live, tmp_path / "seed.jsonl")
@@ -325,7 +325,7 @@ def test_c08_environment_invariants(tmp_path):
     episodes_path = tmp_path / "episodes.jsonl"
     export_episodes(episodes, episodes_path)
     replay_log = tmp_path / "uniform.jsonl"
-    cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
+    cfg = EndpointConfig(max_retries=0)
     with RecordingTransport(MockTransport(responder=make_uniform_responder(4, seed=9)), replay_log) as record:
         complete_batch([simulation_request(ep.prompt) for ep in episodes], cfg, transport=record)
 
@@ -377,7 +377,7 @@ def test_c10_end_to_end_smoke(tmp_path):
 
     # stage 0: replay material for the augment and simulate stages
     catalog, histories = load_interactions(DATA_DIR / "interactions.jsonl")
-    cfg = EndpointConfig(max_retries=0, backoff_base=0.0)
+    cfg = EndpointConfig(max_retries=0)
     augment_replay = run_dir / "augment_replay.jsonl"
     with RecordingTransport(MockTransport(responder=make_caption_responder()), augment_replay) as live:
         batch_augment(catalog, DATA_DIR / "frame_scores.jsonl", cfg, live, run_dir / "warmup_captions.jsonl")

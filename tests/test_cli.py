@@ -29,7 +29,7 @@ def episode_source():
 
 def record_simulation(episodes, responder, path):
     """Record responder replies for exactly the requests simulate will send, in order."""
-    cfg = EndpointConfig(max_retries=0, backoff_base=0.0, max_in_flight=1)
+    cfg = EndpointConfig(max_retries=0, max_in_flight=1)
     requests = [simulation_request(ep.prompt) for ep in episodes]
     with RecordingTransport(MockTransport(responder=responder), path) as transport:
         complete_batch(requests, cfg, transport=transport)
@@ -48,7 +48,7 @@ class TestAugmentCommand:
             batch_augment(
                 catalog,
                 DATA_DIR / "frame_scores.jsonl",
-                EndpointConfig(max_retries=0, backoff_base=0.0),
+                EndpointConfig(max_retries=0),
                 live,
                 tmp_path / "scratch.jsonl",
             )
@@ -103,7 +103,7 @@ class TestAugmentCommand:
             batch_augment(
                 catalog,
                 DATA_DIR / "frame_scores.jsonl",
-                EndpointConfig(max_retries=0, backoff_base=0.0),
+                EndpointConfig(max_retries=0),
                 live,
                 tmp_path / "scratch.jsonl",
             )
@@ -686,7 +686,7 @@ def caption_replay(tmp_path_factory):
         batch_augment(
             catalog,
             DATA_DIR / "frame_scores.jsonl",
-            EndpointConfig(max_retries=0, backoff_base=0.0, max_in_flight=1),
+            EndpointConfig(max_retries=0, max_in_flight=1),
             live,
             root / "scratch.jsonl",
         )
@@ -732,6 +732,15 @@ class TestConfigValues:
         cfg.write_text(json.dumps({"history_length": value}))
         assert run("train-toy", "--config", cfg, "--iters", 4, "--eval-episodes", 4, "--out", tmp_path / "run") == 2
         assert "error: history_length must lie in [2, n_items=300]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "nan"])
+    def test_timeout_that_is_not_finite_and_positive_exits_2_naming_it(
+        self, timeout, tmp_path, capsys, replayed_episodes
+    ):
+        episodes, replay = replayed_episodes
+        argv = ["--episodes", episodes, "--replay", replay, "--timeout", timeout, "--out", tmp_path / "run"]
+        assert run("simulate", *argv) == 2
+        assert "error: timeout must be a finite number of seconds above 0" in capsys.readouterr().err
 
     def test_unknown_train_toy_key_exits_2_naming_it(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

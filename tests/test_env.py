@@ -255,7 +255,7 @@ class TestSyntheticWorld:
         with pytest.raises(ValueError):
             generate_synthetic_world(4, 30, 0, seed=0)
 
-    @pytest.mark.parametrize("history_length", [31, (9, 4), 1, (1, 3), (4, 31)])
+    @pytest.mark.parametrize("history_length", [31, (9, 4), 1, (1, 3), (4, 31), (4,), (2, 3, 4)])
     def test_bad_history_length_is_named_before_any_draw(self, history_length):
         # numpy's own errors ("low >= high", "argmax of an empty sequence") would mean a draw ran first
         with pytest.raises(ValueError, match=r"^history_length must lie in \[2, n_items=30\], low <= high; got "):

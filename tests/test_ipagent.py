@@ -20,8 +20,9 @@ from simrec.ipagent import (
     select_keyframes,
 )
 from simrec.llmclient import EndpointConfig, MockTransport, ReplayTransport, RecordingTransport, TransportError
+from responders import scripted_mock
 
-CFG = EndpointConfig(max_retries=0, backoff_base=0.0)
+CFG = EndpointConfig(max_retries=0)
 
 
 def frames(*scores):
@@ -66,33 +67,29 @@ ITEM = Item(id="v1", title="clip v1")
 KEYFRAMES = select_keyframes(frames(0.9, 0.8, 0.7, 0.1))
 
 
-def canned_pipeline(replies):
-    return MockTransport(script=list(replies))
-
-
 class TestRunIpPipeline:
     def test_three_stage_round_trip(self):
         caption_30 = " ".join(["word"] * 28) + " # tag"
-        transport = canned_pipeline(["frames noted", "characters and event", caption_30])
+        transport = scripted_mock(["frames noted", "characters and event", caption_30])
         assert run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport) == caption_30
         assert transport.calls == 3
 
     def test_over_limit_triggers_one_corrective_retry(self):
         long_caption = " ".join(["w"] * 60)
         retry_caption = " ".join(["w"] * 34)
-        transport = canned_pipeline(["a", "b", long_caption, retry_caption])
+        transport = scripted_mock(["a", "b", long_caption, retry_caption])
         assert run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport) == retry_caption
         assert transport.calls == 4
 
     def test_second_violation_truncates_with_warning(self, caplog):
-        transport = canned_pipeline(["a", "b", " ".join(["w"] * 60), " ".join(["x"] * 50)])
+        transport = scripted_mock(["a", "b", " ".join(["w"] * 60), " ".join(["x"] * 50)])
         with caplog.at_level(logging.WARNING):
             caption = run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
         assert caption == " ".join(["x"] * 45)
         assert "truncating" in caplog.text
 
     def test_empty_stage_reply_is_pipeline_error(self):
-        transport = canned_pipeline(["a", "   ", "c"])
+        transport = scripted_mock(["a", "   ", "c"])
         with pytest.raises(PipelineError) as err:
             run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
         assert err.value.stage == "perception"
@@ -116,7 +113,7 @@ class TestRunIpPipeline:
     @settings(max_examples=60, deadline=None)
     def test_caption_never_exceeds_the_cap(self, summary_words, retry_words):
         summary = " ".join(["s"] * summary_words)
-        transport = canned_pipeline(["a", "b", summary, " ".join(["r"] * retry_words)])
+        transport = scripted_mock(["a", "b", summary, " ".join(["r"] * retry_words)])
         caption = run_ip_pipeline(ITEM, KEYFRAMES, CFG, transport)
         assert word_count(caption) <= CAPTION_WORD_LIMIT
         over = summary_words > CAPTION_WORD_LIMIT
@@ -154,7 +151,8 @@ class TestBatchAugment:
         assert report.skipped == 5
 
     def test_failed_stage_recorded_and_batch_continues(self, tmp_path, catalog5, bundled_dataset):
-        scores = load_frame_scores(bundled_dataset["frame_scores"])
+        frame_scores = bundled_dataset["frame_scores"]
+        scores = load_frame_scores(frame_scores)
         broken_item = sorted(scores)[1]
 
         base = make_caption_responder()
@@ -167,7 +165,7 @@ class TestBatchAugment:
             return body
 
         out = tmp_path / "captions.jsonl"
-        report = batch_augment(catalog5, scores, CFG, MockTransport(responder=responder), out)
+        report = batch_augment(catalog5, frame_scores, CFG, MockTransport(responder=responder), out)
         assert report.written == 4
         assert (broken_item, "perception") in report.failures
 
@@ -190,9 +188,10 @@ class TestBatchAugmentStreaming:
     def test_crash_leaves_the_finished_sorted_prefix_then_rerun_resumes(
         self, tmp_path, catalog5, bundled_dataset, parallelism
     ):
-        scores = load_frame_scores(bundled_dataset["frame_scores"])
+        frame_scores = bundled_dataset["frame_scores"]
+        scores = load_frame_scores(frame_scores)
         reference = tmp_path / "reference.jsonl"
-        batch_augment(catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), reference)
+        batch_augment(catalog5, frame_scores, CFG, MockTransport(responder=make_caption_responder()), reference)
         expected = reference.read_text().splitlines(keepends=True)
 
         crash_item = sorted(scores)[3]
@@ -207,21 +206,21 @@ class TestBatchAugmentStreaming:
         out = tmp_path / "captions.jsonl"
         with pytest.raises(RuntimeError, match="responder bug"):
             batch_augment(
-                catalog5, scores, CFG, MockTransport(responder=crashing), out, parallelism=parallelism
+                catalog5, frame_scores, CFG, MockTransport(responder=crashing), out, parallelism=parallelism
             )
         assert out.read_text() == "".join(expected[:3])
 
         report = batch_augment(
-            catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), out,
+            catalog5, frame_scores, CFG, MockTransport(responder=make_caption_responder()), out,
             parallelism=parallelism,
         )
         assert (report.written, report.skipped) == (2, 3)
         assert out.read_bytes() == reference.read_bytes()
 
     def test_rerun_after_a_torn_last_row_gives_the_one_shot_bytes(self, tmp_path, catalog5, bundled_dataset, caplog):
-        scores = load_frame_scores(bundled_dataset["frame_scores"])
+        frame_scores = bundled_dataset["frame_scores"]
         reference = tmp_path / "reference.jsonl"
-        batch_augment(catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), reference)
+        batch_augment(catalog5, frame_scores, CFG, MockTransport(responder=make_caption_responder()), reference)
         whole = reference.read_bytes()
         last_row = whole.rindex(b"\n", 0, len(whole) - 1) + 1
         out = tmp_path / "captions.jsonl"
@@ -229,7 +228,7 @@ class TestBatchAugmentStreaming:
             out.write_bytes(whole[:cut])
             caplog.clear()
             with caplog.at_level(logging.WARNING):
-                report = batch_augment(catalog5, scores, CFG, MockTransport(responder=make_caption_responder()), out)
+                report = batch_augment(catalog5, frame_scores, CFG, MockTransport(responder=make_caption_responder()), out)
             assert out.read_bytes() == whole
             assert (report.written, report.skipped) == (1, 4)
             assert [r.getMessage() for r in caplog.records] == [
@@ -242,7 +241,8 @@ class TestBatchAugmentStreaming:
         self, tmp_path_factory, bundled_catalog_histories, bundled_dataset, failing, parallelism
     ):
         catalog, _ = bundled_catalog_histories
-        scores = load_frame_scores(bundled_dataset["frame_scores"])
+        frame_scores = bundled_dataset["frame_scores"]
+        scores = load_frame_scores(frame_scores)
         down = {sorted(scores)[i] for i in failing}
         base = make_caption_responder()
 
@@ -254,11 +254,11 @@ class TestBatchAugmentStreaming:
 
         root = tmp_path_factory.mktemp("rerun")
         reference, out = root / "reference.jsonl", root / "captions.jsonl"
-        batch_augment(catalog, scores, CFG, MockTransport(responder=base), reference)
+        batch_augment(catalog, frame_scores, CFG, MockTransport(responder=base), reference)
         with mock.patch("os.replace", wraps=os.replace) as replace:
-            first = batch_augment(catalog, scores, CFG, MockTransport(responder=responder), out, parallelism=parallelism)
+            first = batch_augment(catalog, frame_scores, CFG, MockTransport(responder=responder), out, parallelism=parallelism)
             fresh_rewrites = replace.call_count
-            second = batch_augment(catalog, scores, CFG, MockTransport(responder=base), out, parallelism=parallelism)
+            second = batch_augment(catalog, frame_scores, CFG, MockTransport(responder=base), out, parallelism=parallelism)
         assert out.read_bytes() == reference.read_bytes()
         assert sorted(item for item, _ in first.failures) == sorted(down)
         assert (first.written, first.skipped) == (5 - len(down), 0)

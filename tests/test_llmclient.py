@@ -3,6 +3,7 @@ import http.server
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
+from responders import scripted_mock
 from simrec.llmclient import (
     ChatMessage,
     ChatRequest,
@@ -40,41 +42,43 @@ def request(text="hi", model="m"):
     return ChatRequest(model=model, messages=(ChatMessage(role="user", content=text),))
 
 
-CFG = EndpointConfig(max_retries=3, max_in_flight=3, backoff_base=0.0)
+CFG = EndpointConfig(max_retries=3, max_in_flight=3)
 
 
 class TestComplete:
     def test_canned_reply(self):
-        transport = MockTransport(script=["ok"])
+        transport = scripted_mock(["ok"])
         assert complete(request(), CFG, transport=transport) == "ok"
 
     def test_success_after_two_retries(self):
-        transport = MockTransport(
-            script=[TransportError("HTTP 500"), TransportError("HTTP 500"), "fine"]
-        )
+        transport = scripted_mock([TransportError("HTTP 500"), TransportError("HTTP 500"), "fine"])
         stats = ClientStats()
-        assert complete(request(), CFG, transport=transport, stats=stats) == "fine"
+        sleeps = []
+        assert complete(request(), CFG, transport=transport, stats=stats, sleep=sleeps.append) == "fine"
         assert transport.calls == 3
         assert stats.retries == 2
+        assert sleeps == [0.5, 1.0]
 
     def test_all_attempts_fail_names_endpoint(self):
-        transport = MockTransport(script=[TransportError("https://api.example/v1: timeout")] * 4)
+        transport = scripted_mock([TransportError("https://api.example/v1: timeout")] * 4)
+        sleeps = []
         with pytest.raises(TransportError, match="api.example"):
-            complete(request(), CFG, transport=transport)
+            complete(request(), CFG, transport=transport, sleep=sleeps.append)
         assert transport.calls == 4  # initial + 3 retries
+        assert sleeps == [0.5, 1.0, 2.0]
 
     def test_backoff_schedule(self):
         sleeps = []
-        transport = MockTransport(script=[TransportError("x")] * 3 + ["done"])
-        cfg = EndpointConfig(max_retries=3, backoff_base=0.5)
+        transport = scripted_mock([TransportError("x")] * 3 + ["done"])
+        cfg = EndpointConfig(max_retries=3)
         complete(request(), cfg, transport=transport, sleep=sleeps.append)
         assert sleeps == [0.5, 1.0, 2.0]
 
     def test_permanent_error_is_not_retried(self):
         sleeps = []
         stats = ClientStats()
-        transport = MockTransport(script=[PermanentTransportError("HTTP 404")])
-        cfg = EndpointConfig(max_retries=3, backoff_base=0.5)
+        transport = scripted_mock([PermanentTransportError("HTTP 404")])
+        cfg = EndpointConfig(max_retries=3)
         with pytest.raises(PermanentTransportError, match="404"):
             complete(request(), cfg, transport=transport, stats=stats, sleep=sleeps.append)
         assert transport.calls == 1
@@ -93,7 +97,7 @@ class TestComplete:
 
         sleeps = []
         stats = ClientStats()
-        cfg = EndpointConfig(max_retries=3, backoff_base=0.5)
+        cfg = EndpointConfig(max_retries=3)
         with pytest.raises(PermanentTransportError, match="no recorded response"):
             complete(request(), cfg, transport=CountingReplay(log), stats=stats, sleep=sleeps.append)
         assert len(sends) == 1
@@ -108,7 +112,7 @@ class TestComplete:
 
         monkeypatch.setattr(urllib.request, "urlopen", refuse)
         sleeps = []
-        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2, backoff_base=0.5)
+        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2)
         with pytest.raises(TransportError, match=f"HTTP {code}") as info:
             complete(request(), cfg, transport=HttpTransport(cfg), sleep=sleeps.append)
         assert isinstance(info.value, PermanentTransportError) is not retried
@@ -125,7 +129,7 @@ class TestComplete:
 
         monkeypatch.setattr(urllib.request, "urlopen", reply)
         stats = ClientStats()
-        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2, max_in_flight=1, backoff_base=0.0)
+        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2, max_in_flight=1)
         results = complete_batch(
             [request(t) for t in ("a", "bad", "c")], cfg, transport=HttpTransport(cfg), stats=stats
         )
@@ -142,18 +146,23 @@ class TestComplete:
         replies = [CutOff(), io.BytesIO(json.dumps(text_response("ok")).encode())]
         monkeypatch.setattr(urllib.request, "urlopen", lambda req, timeout: replies.pop(0))
         sleeps = []
-        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2, backoff_base=0.5)
+        cfg = EndpointConfig(base_url="http://endpoint.invalid", max_retries=2)
         assert complete(request(), cfg, transport=HttpTransport(cfg), sleep=sleeps.append) == "ok"
         assert sleeps == [0.5]
 
     def test_empty_choices_is_protocol_error(self):
-        transport = MockTransport(script=[{"choices": []}])
+        transport = scripted_mock([{"choices": []}])
         with pytest.raises(ProtocolError):
             complete(request(), CFG, transport=transport)
 
     def test_http_transport_requires_url(self):
         with pytest.raises(ValueError, match="base URL"):
             HttpTransport(CFG)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.inf, math.nan])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="^timeout must be a finite number of seconds above 0"):
+            EndpointConfig(timeout=timeout)
 
 
 OK_BODY = json.dumps(text_response("ok")).encode()
@@ -227,7 +236,7 @@ class TestHttpOverLoopback:
 
     def complete(self, loopback, *replies, max_retries=2, timeout=10.0):
         loopback.replies.extend(replies)
-        cfg = EndpointConfig(base_url=loopback.url, timeout=timeout, max_retries=max_retries, backoff_base=0.5)
+        cfg = EndpointConfig(base_url=loopback.url, timeout=timeout, max_retries=max_retries)
         sleeps = []
         try:
             return complete(request(), cfg, transport=HttpTransport(cfg), sleep=sleeps.append), sleeps
@@ -298,14 +307,14 @@ class TestCompleteBatch:
                 raise TransportError("boom")
             return "good"
 
-        cfg = EndpointConfig(max_retries=0, max_in_flight=2, backoff_base=0.0)
+        cfg = EndpointConfig(max_retries=0, max_in_flight=2)
         reqs = [request(t) for t in ("a", "bad", "c", "d", "e")]
         results = complete_batch(reqs, cfg, transport=MockTransport(responder=responder))
         assert [isinstance(r, ClientError) for r in results] == [False, True, False, False, False]
         assert results[0] == "good"
 
     def test_empty_batch(self):
-        assert complete_batch([], CFG, transport=MockTransport(script=[])) == []
+        assert complete_batch([], CFG, transport=scripted_mock([])) == []
 
     def test_non_client_error_reaches_the_caller(self):
         def responder(payload):
@@ -399,6 +408,22 @@ class TestRunOrdered:
         assert not [t for t in threading.enumerate() if t.name.startswith("simrec-batch-")]
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def reversed_keys(value):
+    """``value`` with the keys of every dict in it, at any depth, inserted in reverse order."""
+    if isinstance(value, dict):
+        return {key: reversed_keys(value[key]) for key in reversed(list(value))}
+    if isinstance(value, list):
+        return [reversed_keys(item) for item in value]
+    return value
+
+
 class TestRecordReplay:
     def test_record_then_replay_reproduces_outputs(self, tmp_path):
         log = tmp_path / "replay.jsonl"
@@ -431,12 +456,12 @@ class TestRecordReplay:
 
     def test_recording_to_a_torn_file_cuts_the_torn_row_and_still_replays(self, tmp_path, caplog):
         log = tmp_path / "replay.jsonl"
-        with RecordingTransport(MockTransport(script=["one", "two"]), log) as live:
+        with RecordingTransport(scripted_mock(["one", "two"]), log) as live:
             complete(request("a"), CFG, transport=live)
             complete(request("b"), CFG, transport=live)
         log.write_bytes(log.read_bytes()[:-20])  # a crash inside the second row's write
         torn = len(log.read_bytes().splitlines(keepends=True)[-1])
-        with caplog.at_level(logging.WARNING), RecordingTransport(MockTransport(script=["three"]), log) as live:
+        with caplog.at_level(logging.WARNING), RecordingTransport(scripted_mock(["three"]), log) as live:
             complete(request("c"), CFG, transport=live)
         assert [r.getMessage() for r in caplog.records] == [f"{log}: dropped a torn last line ({torn} bytes)"]
         replay = ReplayTransport(log)
@@ -457,6 +482,14 @@ class TestRecordReplay:
         log.write_text(good + "\n" + second_row + "\n")
         with pytest.raises(ValueError, match=f"replay.jsonl: {needle}"):
             ReplayTransport(log)
+
+    @settings(max_examples=50, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=6), JSON_VALUES, min_size=1, max_size=5))
+    def test_replay_ignores_the_key_order_of_the_request(self, tmp_path_factory, payload):
+        log = tmp_path_factory.mktemp("replay") / "replay.jsonl"
+        with RecordingTransport(MockTransport(responder=lambda p: "recorded"), log) as live:
+            live.send(payload)
+        assert ReplayTransport(log).send(reversed_keys(payload)) == text_response("recorded")
 
     def test_repeated_requests_replay_in_order(self, tmp_path):
         log = tmp_path / "replay.jsonl"
