@@ -4,8 +4,8 @@ Walks through the two-tag transcript convention and shows how format
 compliance and task correctness combine into a single scalar reward.
 """
 
-from simrec import Judgment, total_reward
-from simrec.core import CandidateSet, Selection
+from simrec.core import CandidateSet, Judgment, Selection
+from simrec.rewards import total_reward
 
 judgment = Judgment(item="v042", label="like")
 selection = Selection(

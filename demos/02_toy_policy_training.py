@@ -7,9 +7,8 @@ The whole run takes a few seconds on a laptop.
 
 import numpy as np
 
-from simrec import GrpoConfig, SyntheticEpisodeSource, ToySoftmaxPolicy, generate_synthetic_world, train
-from simrec.env import EnvConfig, derive_seed
-from simrec.grpo import evaluate_policy
+from simrec.env import EnvConfig, SyntheticEpisodeSource, derive_seed, generate_synthetic_world
+from simrec.grpo import GrpoConfig, ToySoftmaxPolicy, evaluate_policy, train
 
 world, catalog, histories = generate_synthetic_world(
     n_users=40, n_items=300, dim=8, seed=11, history_length=6, pool_size=10

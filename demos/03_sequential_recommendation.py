@@ -7,8 +7,15 @@ rank. Cold users (at most 5 training interactions) get their own slice.
 
 from pathlib import Path
 
-from simrec import evaluate_leave_one_out, fit_embedding, fit_markov, fit_popularity, load_interactions
-from simrec.recommender import RandomGenerator, load_item_features
+from simrec.core import load_interactions
+from simrec.recommender import (
+    RandomGenerator,
+    evaluate_leave_one_out,
+    fit_embedding,
+    fit_markov,
+    fit_popularity,
+    load_item_features,
+)
 
 data = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 catalog, histories = load_interactions(data / "interactions.jsonl")

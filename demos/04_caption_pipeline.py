@@ -10,7 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from simrec import load_interactions
+from simrec.core import load_interactions
 from simrec.fixtures import make_caption_responder
 from simrec.ipagent import batch_augment, load_frame_scores, select_keyframes
 from simrec.llmclient import EndpointConfig, MockTransport, RecordingTransport, ReplayTransport

@@ -9,8 +9,8 @@ effect is visible on HR@10.
 
 from pathlib import Path
 
-from simrec import augment_with_feedback, evaluate_leave_one_out, fit_markov, load_interactions
-from simrec.recommender import load_feedback
+from simrec.core import load_interactions
+from simrec.recommender import augment_with_feedback, evaluate_leave_one_out, fit_markov, load_feedback
 
 data = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 catalog, histories = load_interactions(data / "interactions.jsonl")

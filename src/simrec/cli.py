@@ -119,7 +119,7 @@ def _out_dir(resolved: dict) -> Path:
     path = Path(out)
     try:
         path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
+    except OSError as exc:
         raise InputError(f"cannot make output directory {path}: {exc.strerror}") from exc
     return path
 
@@ -379,6 +379,9 @@ def cmd_simulate(resolved: dict, out: Path) -> list[Path]:
 
 def cmd_train_toy(resolved: dict, out: Path) -> list[Path]:
     iterations = resolved["iters"]
+    n_eval = resolved["eval_episodes"]
+    if n_eval < 1:  # checked before training writes trace.jsonl
+        raise InputError(f"eval_episodes must be at least 1, got {n_eval}")
     # a ValueError from either is an input error, as main reports every ValueError
     grpo_cfg = GrpoConfig(**{o.name: resolved[o.name] for o in _GRPO})
     switch = curriculum_switch_iteration(iterations, resolved["curriculum_fraction"])
@@ -414,7 +417,6 @@ def cmd_train_toy(resolved: dict, out: Path) -> list[Path]:
     )
 
     eval_rng = np.random.default_rng(derive_seed(resolved["seed"], "held-out"))
-    n_eval = resolved["eval_episodes"]
     heldout: dict[str, float] = {}
     kinds = ("judgment", "selection") if task == "mixed" else (task,)
     for kind in kinds:

@@ -128,10 +128,7 @@ class UserHistory:
         behaviors = self.behaviors
         if len(behaviors) < 2:
             self._require_target()  # raises
-        history = _new_object(UserHistory)
-        _set_user(history, self.user)
-        _set_behaviors(history, behaviors[:-1])
-        return history
+        return UserHistory._unchecked(self.user, behaviors[:-1])
 
     def item_ids(self) -> tuple[ItemId, ...]:
         return tuple(b.item for b in self.behaviors)

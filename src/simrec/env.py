@@ -10,6 +10,7 @@ produce byte-identical prompts.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -257,6 +258,8 @@ class SyntheticWorld:
             np.isfinite(self.item_vectors)
         ):
             raise ValueError("world vectors must be finite")
+        if not 0 <= self.noise < math.inf:  # also rejects nan
+            raise ValueError(f"noise must be a finite number >= 0, got {self.noise!r}")
         self._user_index = {u: i for i, u in enumerate(self.user_ids)}
         self._item_index = {v: i for i, v in enumerate(self.item_ids)}
 
@@ -319,8 +322,8 @@ def generate_synthetic_world(
     if len(span) != 2 or not 2 <= span[0] <= span[1] <= n_items:
         # a history holds each item at most once, and at least a profile item and a target
         raise ValueError(f"history_length must lie in [2, n_items={n_items}], low <= high; got {history_length!r}")
-    if pool_size > n_items:
-        raise ValueError("pool_size cannot exceed the item count")
+    if not 1 <= pool_size <= n_items:
+        raise ValueError(f"pool_size must lie in [1, n_items={n_items}], got {pool_size!r}")
 
     rng = np.random.default_rng(seed)
     user_vectors = rng.standard_normal((n_users, dim))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestEvalRecCommand:
             "--out", tmp_path / "run",
         ) == 2
 
-    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    @pytest.mark.parametrize("out", ["taken", "taken/sub", pytest.param("x" * 300, id="name-too-long")])
     def test_out_at_or_below_a_file_exits_2_naming_it(self, tmp_path, capsys, out):
         (tmp_path / "taken").write_text("not a directory\n")
         assert run(
@@ -486,6 +487,13 @@ class TestTrainToyCommand:
         assert "curriculum_fraction must lie in [0, 1]" in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()
 
+    @pytest.mark.parametrize("n_eval", ["0", "-3"])
+    def test_eval_episodes_below_1_exits_2_before_training(self, n_eval, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("train-toy", "--iters", 10, "--eval-episodes", n_eval, "--out", out) == 2
+        assert f"error: eval_episodes must be at least 1, got {n_eval}" in capsys.readouterr().err
+        assert not (out / "trace.jsonl").exists()
+
     # SHA-256 of trace.jsonl, summary.json, the final W's bytes and manifest.json
     # at --iters 500 --seed 1 --out run; a change to any of them must be named
     # in CHANGES.md.
@@ -726,12 +734,31 @@ class TestConfigValues:
         assert run(command, "--config", cfg, *argv, "--out", tmp_path / "run") == 2
         assert f"config key {key!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [301, [9, 4]])
-    def test_unusable_history_length_exits_2_naming_the_key(self, value, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("history_length", 301),
+            ("history_length", [9, 4]),
+            ("pool_size", 0),
+            ("pool_size", -2),
+            ("pool_size", 301),
+            ("noise", -1.0),
+            ("noise", math.nan),
+            ("noise", math.inf),
+        ],
+    )
+    def test_unusable_world_setting_exits_2_naming_the_key(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"history_length": value}))
-        assert run("train-toy", "--config", cfg, "--iters", 4, "--eval-episodes", 4, "--out", tmp_path / "run") == 2
-        assert "error: history_length must lie in [2, n_items=300]" in capsys.readouterr().err
+        cfg.write_text(json.dumps({key: value}))  # nan and inf as JSON's NaN and Infinity
+        out = tmp_path / "run"
+        assert run("train-toy", "--config", cfg, "--iters", 4, "--eval-episodes", 4, "--out", out) == 2
+        bounds = {
+            "history_length": "must lie in [2, n_items=300], low <= high; got",
+            "pool_size": "must lie in [1, n_items=300], got",
+            "noise": "must be a finite number >= 0, got",
+        }
+        assert f"error: {key} {bounds[key]} " in capsys.readouterr().err
+        assert not (out / "trace.jsonl").exists()
 
     @pytest.mark.parametrize("timeout", ["0", "-1", "inf", "nan"])
     def test_timeout_that_is_not_finite_and_positive_exits_2_naming_it(

@@ -1,9 +1,10 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simrec.core import CandidateSet, Judgment, Selection
@@ -255,11 +256,47 @@ class TestSyntheticWorld:
         with pytest.raises(ValueError):
             generate_synthetic_world(4, 30, 0, seed=0)
 
-    @pytest.mark.parametrize("history_length", [31, (9, 4), 1, (1, 3), (4, 31), (4,), (2, 3, 4)])
-    def test_bad_history_length_is_named_before_any_draw(self, history_length):
-        # numpy's own errors ("low >= high", "argmax of an empty sequence") would mean a draw ran first
-        with pytest.raises(ValueError, match=r"^history_length must lie in \[2, n_items=30\], low <= high; got "):
-            generate_synthetic_world(4, 30, 4, seed=0, history_length=history_length)
+    @given(
+        n_items=st.integers(2, 8),
+        history_length=st.one_of(
+            st.integers(1, 9),
+            st.tuples(st.integers(1, 9), st.integers(1, 9)),
+            st.lists(st.integers(1, 9), max_size=3).map(tuple),
+        ),
+        pool_size=st.integers(-1, 9),
+        noise=st.floats(-1, 2) | st.sampled_from([math.nan, math.inf]),
+    )
+    @example(n_items=30, history_length=31, pool_size=10, noise=0.0)
+    @example(n_items=30, history_length=(9, 4), pool_size=10, noise=0.0)
+    @example(n_items=30, history_length=1, pool_size=10, noise=0.0)
+    @example(n_items=30, history_length=(1, 3), pool_size=10, noise=0.0)
+    @example(n_items=30, history_length=(4, 31), pool_size=10, noise=0.0)
+    @example(n_items=30, history_length=(4,), pool_size=10, noise=0.0)
+    @example(n_items=30, history_length=(2, 3, 4), pool_size=10, noise=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_bad_world_settings_are_named_before_any_draw(self, n_items, history_length, pool_size, noise):
+        # usable settings give valid histories; otherwise the error names a bad setting before any
+        # draw, where numpy's own errors ("low >= high", "argmax of an empty sequence") would mean one ran
+        span = (history_length, history_length) if isinstance(history_length, int) else history_length
+        messages = {
+            "history_length": f"history_length must lie in [2, n_items={n_items}], low <= high; got {history_length!r}",
+            "pool_size": f"pool_size must lie in [1, n_items={n_items}], got {pool_size!r}",
+            "noise": f"noise must be a finite number >= 0, got {noise!r}",
+        }
+        valid = {
+            "history_length": len(span) == 2 and 2 <= span[0] <= span[1] <= n_items,
+            "pool_size": 1 <= pool_size <= n_items,
+            "noise": 0 <= noise < math.inf,
+        }
+        kwargs = {"history_length": history_length, "pool_size": pool_size, "noise": noise}
+        named = {messages[key] for key, ok in valid.items() if not ok}
+        if named:
+            with pytest.raises(ValueError) as info:
+                generate_synthetic_world(3, n_items, 2, seed=0, **kwargs)
+            assert str(info.value) in named
+        else:
+            _, _, histories = generate_synthetic_world(3, n_items, 2, seed=0, **kwargs)
+            assert all(len(set(h.item_ids())) == len(h) and span[0] <= len(h) <= span[1] for h in histories)
 
     def test_history_length_may_equal_the_item_count(self):
         _, _, histories = generate_synthetic_world(3, 6, 2, seed=0, history_length=(5, 6), pool_size=4)
