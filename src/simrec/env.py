@@ -314,10 +314,9 @@ def generate_synthetic_world(
     exactly (:func:`pool_scores`), never a ``matmul``, whose last bits differ
     and would flip picks and comments.
     """
-    if n_users < 2 or n_items < 2:
-        raise ValueError("need at least 2 users and 2 items")
-    if dim < 1:
-        raise ValueError("need dim >= 1")
+    for key, value, low in (("n_users", n_users, 2), ("n_items", n_items, 2), ("dim", dim, 1)):
+        if value < low:
+            raise ValueError(f"{key} must be at least {low}, got {value!r}")
     span = (history_length, history_length) if isinstance(history_length, int) else history_length
     if len(span) != 2 or not 2 <= span[0] <= span[1] <= n_items:
         # a history holds each item at most once, and at least a profile item and a target
@@ -386,6 +385,8 @@ class SyntheticEpisodeSource:
         cfg: EnvConfig,
         pool_size: int = 10,
     ) -> None:
+        if not 1 <= pool_size <= len(world.item_ids):
+            raise ValueError(f"pool_size must lie in [1, n_items={len(world.item_ids)}], got {pool_size!r}")
         self.world = world
         self.catalog = catalog
         self.cfg = cfg

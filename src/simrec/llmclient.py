@@ -9,14 +9,17 @@ endpoint.
 
 A batch runs on at most ``max_in_flight`` plain worker threads. Each worker
 takes the next request in turn, and results are handed on in input order as
-soon as every earlier one is done. ``RecordingTransport`` keeps one append
-handle open from its first request and writes each row through to the file
-before ``send`` returns; ``close()`` it, or use it as a context manager, when
-the batch ends.
+soon as every earlier one is done. ``RecordingTransport`` keeps one unbuffered
+append handle open from its first request and writes each row with one
+``O_APPEND`` write before ``send`` returns; ``close()`` it, or use it as a
+context manager, when the batch ends. No lock is taken per request: taking a
+request, popping a replayed reply and storing a result are each one builtin
+operation, which the GIL makes atomic; only a worker that emits takes a lock.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -24,7 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .core import _encode_sorted, drop_torn_last_line, iter_jsonl
 
@@ -191,33 +194,39 @@ class RecordingTransport(Transport):
     """Wraps another transport and appends {request, response} JSONL rows.
 
     The file is opened on the first ``send`` (a run that sends nothing
-    creates none) and each row is flushed to it before ``send`` returns. An
-    existing file is appended to, once a torn last row left by a crash is cut
-    off, so that the file still replays.
+    creates none), unbuffered and in append mode. Each row then goes to it in
+    one ``write`` before ``send`` returns, with no lock held: the kernel
+    appends each write whole, so rows from concurrent sends never interleave.
+    An existing file is appended to, once a torn last row left by a crash is
+    cut off, so that the file still replays.
     """
 
     def __init__(self, inner: Transport, path: str | Path) -> None:
         self.inner = inner
         self.path = Path(path)
-        self._lock = threading.Lock()
-        self._handle: BinaryIO | None = None
+        self._lock = threading.Lock()  # held only to open or close the file
+        self._file: io.FileIO | None = None
 
     def send(self, payload: dict) -> dict:
         response = self.inner.send(payload)
-        row = _encode_sorted({"request": payload, "response": response}) + "\n"
-        with self._lock:
-            if self._handle is None:
-                drop_torn_last_line(self.path)
-                self._handle = self.path.open("ab")
-            self._handle.write(row.encode("utf-8"))
-            self._handle.flush()
+        row = (_encode_sorted({"request": payload, "response": response}) + "\n").encode("utf-8")
+        file = self._file
+        if file is None:
+            with self._lock:
+                if self._file is None:
+                    drop_torn_last_line(self.path)
+                    self._file = open(self.path, "ab", buffering=0)
+                file = self._file
+        written = file.write(row)
+        if written != len(row):
+            raise OSError(f"{self.path}: short write, {written} of {len(row)} bytes of a row")
         return response
 
     def close(self) -> None:
         with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def __enter__(self) -> RecordingTransport:
         return self
@@ -235,24 +244,23 @@ def _replay_pair(row: dict) -> tuple[str, dict]:
 class ReplayTransport(Transport):
     """Serves recorded responses keyed by the exact request payload.
 
-    Repeated identical requests replay their recorded responses in order.
-    An unrecorded request is a permanent transport error.
+    Repeated identical requests replay their recorded responses in order,
+    each one once. An unrecorded request, or one whose recorded responses
+    have all been served, is a permanent transport error.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._responses: dict[str, list[dict]] = {}
-        self._lock = threading.Lock()
         for _, (key, response) in iter_jsonl(self.path, _replay_pair):
             self._responses.setdefault(key, []).append(response)
 
     def send(self, payload: dict) -> dict:
-        key = _encode_sorted(payload)
-        with self._lock:
-            queue = self._responses.get(key)
-            if not queue:
-                raise PermanentTransportError(f"{self.path}: no recorded response for request")
-            return queue.pop(0)
+        try:
+            # one list.pop, atomic under the GIL, so concurrent sends need no lock
+            return self._responses.get(_encode_sorted(payload), []).pop(0)
+        except IndexError:
+            raise PermanentTransportError(f"{self.path}: no recorded response for request") from None
 
 
 @dataclass
@@ -342,17 +350,22 @@ def _run_ordered(
     """Call ``emit(fn(item))`` for every item, in input order, on ``workers`` threads.
 
     At most ``min(workers, len(items))`` threads run ``fn``; each takes the
-    next item under one lock. A result goes to ``emit`` (under the same lock,
-    so ``emit`` never runs concurrently) once every earlier result has gone.
+    next index from one shared iterator and stores its result. Only the
+    worker whose result is next in order takes the lock, and emits every
+    stored result that follows on from it, so ``emit`` runs one call at a
+    time and in input order. This relies on the GIL: a worker stores its
+    result, then reads ``emitted``, while the emitter advances ``emitted``,
+    then looks for the next stored result, so one of the two always emits it.
     The first exception raised by ``fn``, by ``emit`` or while the caller
     waits stops new items from starting; the threads finish their current
     items, results that are next in order are still emitted unless ``emit``
     itself failed, and the exception is re-raised here.
     """
     n_threads = min(workers, len(items))
+    indices = iter(range(len(items)))
     lock = threading.Lock()
     finished: dict[int, R] = {}
-    taken = emitted = 0
+    emitted = 0
     error: BaseException | None = None
     emit_failed = False
 
@@ -362,21 +375,20 @@ def _run_ordered(
             error = exc
 
     def work() -> None:
-        nonlocal taken, emitted, emit_failed
-        while True:
-            with lock:
-                if error is not None or taken == len(items):
-                    return
-                index = taken
-                taken += 1
+        nonlocal emitted, emit_failed
+        for index in indices:
+            if error is not None:
+                return
             try:
                 result = fn(items[index])
             except BaseException as exc:
                 with lock:
                     fail(exc)
                 return
+            finished[index] = result
+            if index != emitted:
+                continue  # an earlier result is still out; its emitter will emit this one
             with lock:
-                finished[index] = result
                 while not emit_failed and emitted in finished:
                     try:
                         emit(finished.pop(emitted))

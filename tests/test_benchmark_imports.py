@@ -52,5 +52,5 @@ def test_traced_run_passes_every_correctness_gate(name, tmp_path, monkeypatch):
     assert outcome.failure is None
     assert outcome.attempted > 0 and outcome.failed == 0
     assert 0.0 <= outcome.values["trace.uncovered_share"] <= 1.0
-    unclosed_replay = f"unclosed file <_io.BufferedWriter name='{tmp_path / 'replay.jsonl'}'>"
+    unclosed_replay = f"unclosed file <_io.FileIO name='{tmp_path / 'replay.jsonl'}' mode='ab' closefd=True>"
     assert [str(w.message) for w in caught if str(w.message) != unclosed_replay] == []

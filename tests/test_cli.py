@@ -745,6 +745,8 @@ class TestConfigValues:
             ("noise", -1.0),
             ("noise", math.nan),
             ("noise", math.inf),
+            ("n_items", 1),
+            ("dim", 0),
         ],
     )
     def test_unusable_world_setting_exits_2_naming_the_key(self, key, value, tmp_path, capsys):
@@ -756,6 +758,8 @@ class TestConfigValues:
             "history_length": "must lie in [2, n_items=300], low <= high; got",
             "pool_size": "must lie in [1, n_items=300], got",
             "noise": "must be a finite number >= 0, got",
+            "n_items": "must be at least 2, got",
+            "dim": "must be at least 1, got",
         }
         assert f"error: {key} {bounds[key]} " in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()

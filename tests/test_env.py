@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,7 +258,9 @@ class TestSyntheticWorld:
             generate_synthetic_world(4, 30, 0, seed=0)
 
     @given(
-        n_items=st.integers(2, 8),
+        n_users=st.integers(0, 4),
+        n_items=st.integers(0, 8),
+        dim=st.integers(-1, 3),
         history_length=st.one_of(
             st.integers(1, 9),
             st.tuples(st.integers(1, 9), st.integers(1, 9)),
@@ -266,24 +269,32 @@ class TestSyntheticWorld:
         pool_size=st.integers(-1, 9),
         noise=st.floats(-1, 2) | st.sampled_from([math.nan, math.inf]),
     )
-    @example(n_items=30, history_length=31, pool_size=10, noise=0.0)
-    @example(n_items=30, history_length=(9, 4), pool_size=10, noise=0.0)
-    @example(n_items=30, history_length=1, pool_size=10, noise=0.0)
-    @example(n_items=30, history_length=(1, 3), pool_size=10, noise=0.0)
-    @example(n_items=30, history_length=(4, 31), pool_size=10, noise=0.0)
-    @example(n_items=30, history_length=(4,), pool_size=10, noise=0.0)
-    @example(n_items=30, history_length=(2, 3, 4), pool_size=10, noise=0.0)
+    @example(n_users=3, n_items=30, dim=2, history_length=31, pool_size=10, noise=0.0)
+    @example(n_users=3, n_items=30, dim=2, history_length=(9, 4), pool_size=10, noise=0.0)
+    @example(n_users=3, n_items=30, dim=2, history_length=1, pool_size=10, noise=0.0)
+    @example(n_users=3, n_items=30, dim=2, history_length=(1, 3), pool_size=10, noise=0.0)
+    @example(n_users=3, n_items=30, dim=2, history_length=(4, 31), pool_size=10, noise=0.0)
+    @example(n_users=3, n_items=30, dim=2, history_length=(4,), pool_size=10, noise=0.0)
+    @example(n_users=3, n_items=30, dim=2, history_length=(2, 3, 4), pool_size=10, noise=0.0)
     @settings(max_examples=300, deadline=None)
-    def test_bad_world_settings_are_named_before_any_draw(self, n_items, history_length, pool_size, noise):
+    def test_bad_world_settings_are_named_before_any_draw(
+        self, n_users, n_items, dim, history_length, pool_size, noise
+    ):
         # usable settings give valid histories; otherwise the error names a bad setting before any
         # draw, where numpy's own errors ("low >= high", "argmax of an empty sequence") would mean one ran
         span = (history_length, history_length) if isinstance(history_length, int) else history_length
         messages = {
+            "n_users": f"n_users must be at least 2, got {n_users!r}",
+            "n_items": f"n_items must be at least 2, got {n_items!r}",
+            "dim": f"dim must be at least 1, got {dim!r}",
             "history_length": f"history_length must lie in [2, n_items={n_items}], low <= high; got {history_length!r}",
             "pool_size": f"pool_size must lie in [1, n_items={n_items}], got {pool_size!r}",
             "noise": f"noise must be a finite number >= 0, got {noise!r}",
         }
         valid = {
+            "n_users": n_users >= 2,
+            "n_items": n_items >= 2,
+            "dim": dim >= 1,
             "history_length": len(span) == 2 and 2 <= span[0] <= span[1] <= n_items,
             "pool_size": 1 <= pool_size <= n_items,
             "noise": 0 <= noise < math.inf,
@@ -292,11 +303,17 @@ class TestSyntheticWorld:
         named = {messages[key] for key, ok in valid.items() if not ok}
         if named:
             with pytest.raises(ValueError) as info:
-                generate_synthetic_world(3, n_items, 2, seed=0, **kwargs)
+                generate_synthetic_world(n_users, n_items, dim, seed=0, **kwargs)
             assert str(info.value) in named
         else:
-            _, _, histories = generate_synthetic_world(3, n_items, 2, seed=0, **kwargs)
+            _, _, histories = generate_synthetic_world(n_users, n_items, dim, seed=0, **kwargs)
             assert all(len(set(h.item_ids())) == len(h) and span[0] <= len(h) <= span[1] for h in histories)
+
+    @pytest.mark.parametrize("pool_size", [0, 31])
+    def test_episode_source_rejects_a_pool_outside_the_world(self, pool_size):
+        world, catalog, histories = generate_synthetic_world(4, 30, 3, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"pool_size must lie in [1, n_items=30], got {pool_size}")):
+            SyntheticEpisodeSource(world, catalog, histories, EnvConfig(), pool_size=pool_size)
 
     def test_history_length_may_equal_the_item_count(self):
         _, _, histories = generate_synthetic_world(3, 6, 2, seed=0, history_length=(5, 6), pool_size=4)

@@ -400,11 +400,13 @@ class TestRunOrdered:
         try:
             fn = Concurrency(lambda x: x)
             emitted = []
-            _run_ordered(fn, list(range(3000)), 8, emitted.append)
+            emit = Concurrency(emitted.append)
+            _run_ordered(fn, list(range(3000)), 8, emit)
         finally:
             sys.setswitchinterval(old)
         assert emitted == list(range(3000))
         assert fn.peak <= 8
+        assert emit.peak == 1
         assert not [t for t in threading.enumerate() if t.name.startswith("simrec-batch-")]
 
 
@@ -490,6 +492,43 @@ class TestRecordReplay:
         with RecordingTransport(MockTransport(responder=lambda p: "recorded"), log) as live:
             live.send(payload)
         assert ReplayTransport(log).send(reversed_keys(payload)) == text_response("recorded")
+
+    def test_concurrent_records_are_whole_rows_that_all_replay(self, tmp_path):
+        log = tmp_path / "replay.jsonl"
+        reqs = [request(f"q{i}") for i in range(500)]
+        cfg = EndpointConfig(max_retries=0, max_in_flight=4)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with RecordingTransport(MockTransport(responder=lambda p: p["messages"][0]["content"] + "!"), log) as live:
+                recorded = complete_batch(reqs, cfg, transport=live)
+        finally:
+            sys.setswitchinterval(old)
+        lines = log.read_bytes().split(b"\n")
+        assert len(lines) == 501 and lines[-1] == b""  # 500 rows, each ending in a newline
+        rows = [json.loads(line) for line in lines[:-1]]
+        asked = sorted(r["request"]["messages"][0]["content"] for r in rows)
+        assert asked == sorted(req.messages[0].content for req in reqs)
+        assert complete_batch(reqs, cfg, transport=ReplayTransport(log)) == recorded == [f"q{i}!" for i in range(500)]
+
+    def test_concurrent_replay_serves_each_recorded_reply_once(self, tmp_path):
+        k = 200
+        log = tmp_path / "replay.jsonl"
+        same = [request("same")] * k
+        replies = iter(range(k))
+        with RecordingTransport(MockTransport(responder=lambda p: f"r{next(replies)}"), log) as live:
+            complete_batch(same, CFG, transport=live)
+        replay = ReplayTransport(log)
+        cfg = EndpointConfig(max_retries=0, max_in_flight=4)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            served = complete_batch(same, cfg, transport=replay)
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(served) == sorted(f"r{i}" for i in range(k))
+        with pytest.raises(PermanentTransportError, match="no recorded response"):
+            replay.send(request("same").to_payload())
 
     def test_repeated_requests_replay_in_order(self, tmp_path):
         log = tmp_path / "replay.jsonl"
