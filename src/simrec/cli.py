@@ -8,13 +8,14 @@ feedback augmentation).
 
 ``main`` runs every command the same way: it resolves the settings as
 defaults < --config JSON < explicit flags, makes the output directory, runs
-the command, which returns the files it read, and writes the resolved config
-plus those files' digests into ``<out>/manifest.json``. It exits 0 on
-success, 2 on usage/input errors, and 1 on internal errors.
+the command, and writes the resolved config plus the digest of every input
+file the command names into ``<out>/manifest.json``. It exits 0 on success,
+2 on usage/input errors, and 1 on internal errors.
 
 Each command's settings are declared once, in ``_COMMANDS``: the table builds
-the argparse sub-parsers and the defaults, and checks every value read from a
-JSON file against the type and choices of the flag it stands for.
+the argparse sub-parsers and the defaults, checks every value read from a
+JSON file against the type and choices of the flag it stands for, and marks
+the options that name an input file.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ class _Option:
     ``type`` is ``str``, ``int`` or ``float`` (the flag's argparse type and the
     JSON type a file must give), or ``tuple`` for a history length: an integer
     or a [low, high] pair of integers. A ``None`` default makes ``null`` valid.
+    ``input`` marks a file the command reads, whose digest goes into the manifest.
     """
 
     name: str
@@ -85,6 +87,7 @@ class _Option:
     choices: tuple = ()
     flag: bool = True
     help: str | None = None
+    input: bool = False
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", tuple: "an integer or [low, high]"}
@@ -102,11 +105,12 @@ def _write_json(path: Path, obj: object) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list[Path]) -> None:
+def _write_manifest(out_dir: Path, command: str, config: dict, options: tuple[_Option, ...]) -> None:
+    inputs = sorted(str(Path(config[o.name])) for o in options if o.input and config[o.name])
     manifest = {
         "command": command,
         "config": config,
-        "inputs": {p: _sha256(Path(p)) for p in sorted(map(str, inputs))},
+        "inputs": {p: _sha256(Path(p)) for p in inputs},
         "version": __version__,
     }
     _write_json(out_dir / "manifest.json", manifest)
@@ -221,32 +225,25 @@ def _ks(spec: str) -> tuple[int, ...]:
     return ks
 
 
-def _replay_inputs(resolved: dict) -> list[Path]:
-    """The replay file, when set: it decides every reply of the run."""
-    return [Path(resolved["replay"])] if resolved["replay"] else []
-
-
 def _load_catalog_histories(resolved: dict):
-    """The catalog (with any captions and features), the histories, and the files read."""
-    inputs = [_require_file(resolved["interactions"], "interactions file")]
-    catalog, histories = load_interactions(inputs[0])
+    """The catalog (with any captions and features) and the histories."""
+    catalog, histories = load_interactions(_require_file(resolved["interactions"], "interactions file"))
     for name, attach in (("captions", attach_captions), ("features", load_item_features)):
         if resolved[name]:
-            inputs.append(_require_file(resolved[name], f"{name} file"))
-            catalog = attach(catalog, inputs[-1])
+            catalog = attach(catalog, _require_file(resolved[name], f"{name} file"))
     if resolved["captions"]:
         logger.warning(
             "%s ranks without captions: they reach a ranking only as --features vectors computed outside simrec",
             resolved["model"],
         )
-    return catalog, histories, inputs
+    return catalog, histories
 
 
 # ---------------------------------------------------------------------------
 # augment
 # ---------------------------------------------------------------------------
 
-def cmd_augment(resolved: dict, out: Path) -> list[Path]:
+def cmd_augment(resolved: dict, out: Path) -> None:
     interactions = _require_file(resolved["interactions"], "interactions file")
     frame_scores = _require_file(resolved["frame_scores"], "frame-scores file")
     catalog, _ = load_interactions(interactions)
@@ -265,15 +262,14 @@ def cmd_augment(resolved: dict, out: Path) -> list[Path]:
     _write_json(out / "failures.json", [{"item": i, "stage": s} for i, s in report.failures])
     print(f"captions: {captions_path}")
     print(f"written: {report.written} skipped: {report.skipped} failed: {len(report.failures)}")
-    return [interactions, frame_scores, *_replay_inputs(resolved)]
 
 
 # ---------------------------------------------------------------------------
 # eval-rec
 # ---------------------------------------------------------------------------
 
-def cmd_eval_rec(resolved: dict, out: Path) -> list[Path]:
-    catalog, histories, inputs = _load_catalog_histories(resolved)
+def cmd_eval_rec(resolved: dict, out: Path) -> None:
+    catalog, histories = _load_catalog_histories(resolved)
     ks = _ks(resolved["k"])
     slices = tuple(resolved["slice"].split(","))
     train_views = [h.training_view() for h in histories]
@@ -294,7 +290,6 @@ def cmd_eval_rec(resolved: dict, out: Path) -> list[Path]:
     for tag, rep in reports.items():
         for k in ks:
             print(f"{resolved['model']} [{tag}] HR@{k}={rep.hr[k]:.4f} NDCG@{k}={rep.ndcg[k]:.4f}")
-    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +336,8 @@ def _simulation_metrics(episodes: list[Episode], rows: list[dict]) -> dict:
     return metrics
 
 
-def cmd_simulate(resolved: dict, out: Path) -> list[Path]:
-    episodes_path = _require_file(resolved["episodes"], "episodes file")
-    episodes = load_episodes(episodes_path)
+def cmd_simulate(resolved: dict, out: Path) -> None:
+    episodes = load_episodes(_require_file(resolved["episodes"], "episodes file"))
     if resolved["task"]:
         kind = Judgment if resolved["task"] == "judgment" else Selection
         episodes = [ep for ep in episodes if isinstance(ep.task, kind)]
@@ -370,14 +364,13 @@ def cmd_simulate(resolved: dict, out: Path) -> list[Path]:
     write_jsonl(out / "transcripts.jsonl", transcripts)
     _write_json(out / "metrics.json", metrics)
     print(json.dumps(metrics, sort_keys=True))
-    return [episodes_path, *_replay_inputs(resolved)]
 
 
 # ---------------------------------------------------------------------------
 # train-toy
 # ---------------------------------------------------------------------------
 
-def cmd_train_toy(resolved: dict, out: Path) -> list[Path]:
+def cmd_train_toy(resolved: dict, out: Path) -> None:
     iterations = resolved["iters"]
     n_eval = resolved["eval_episodes"]
     if n_eval < 1:  # checked before training writes trace.jsonl
@@ -433,17 +426,15 @@ def cmd_train_toy(resolved: dict, out: Path) -> list[Path]:
     }
     _write_json(out / "summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
-    return []
 
 
 # ---------------------------------------------------------------------------
 # rerank
 # ---------------------------------------------------------------------------
 
-def cmd_rerank(resolved: dict, out: Path) -> list[Path]:
-    catalog, histories, inputs = _load_catalog_histories(resolved)
-    feedback_path = _require_file(resolved["feedback"], "feedback file")
-    feedback = load_feedback(feedback_path)
+def cmd_rerank(resolved: dict, out: Path) -> None:
+    catalog, histories = _load_catalog_histories(resolved)
+    feedback = load_feedback(_require_file(resolved["feedback"], "feedback file"))
     ks = _ks(resolved["k"])
 
     train_views = [h.training_view() for h in histories]
@@ -463,7 +454,6 @@ def cmd_rerank(resolved: dict, out: Path) -> list[Path]:
         print(
             f"HR@{k}: before={before['all'].hr[k]:.4f} after={after['all'].hr[k]:.4f}"
         )
-    return [*inputs, feedback_path]
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +462,14 @@ def cmd_rerank(resolved: dict, out: Path) -> list[Path]:
 
 
 def _paths(*names: str) -> tuple[_Option, ...]:
-    """Options naming a file or directory: strings with no default."""
-    return tuple(_Option(name) for name in names)
+    """Options naming an input file: strings with no default."""
+    return tuple(_Option(name, input=True) for name in names)
 
 
 _OUT = _Option("out", help="output directory for this run")
 _ENDPOINT = (
     _Option("endpoint", help="chat-completion base URL"),
-    _Option("replay", help="replay transcript file instead of a live endpoint"),
+    _Option("replay", help="replay transcript file instead of a live endpoint", input=True),
     _Option("record", help="record request/response pairs to this file"),
     _Option("timeout", float, 30.0),
     _Option("retries", int, 3),
@@ -503,7 +493,7 @@ _WORLD = (
 # the GrpoConfig fields, set through train-toy's --config
 _GRPO = tuple(_Option(f.name, type(f.default), f.default, flag=False) for f in dataclasses.fields(GrpoConfig))
 
-# command -> (help, function(resolved, out) -> files read, options); every command also takes --config and --out
+# command -> (help, function(resolved, out), options); every command also takes --config and --out
 _COMMANDS = {
     "augment": ("caption items via the perception pipeline", cmd_augment, (
         *_paths("interactions", "frame_scores"),
@@ -518,7 +508,7 @@ _COMMANDS = {
         _Option("seed", int, 0),
     )),
     "simulate": ("score an endpoint on exported episodes", cmd_simulate, (
-        _Option("episodes"),
+        _Option("episodes", input=True),
         _Option("task", choices=_TASKS),
         _Option("m", int),
         *_ENDPOINT,
@@ -578,19 +568,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         resolved = _resolve(args)
         out = _out_dir(resolved)
-        inputs = args.func(resolved, out)
-        _write_manifest(out, args.command, resolved, inputs)
+        args.func(resolved, out)
+        _write_manifest(out, args.command, resolved, args.options)
         return 0
     except (InputError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ClientError as exc:
-        print(f"transport error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -109,18 +109,14 @@ class UserHistory:
     def __len__(self) -> int:
         return len(self.behaviors)
 
-    def profile(self) -> tuple[BehaviorRecord, ...]:
-        """The first N-1 behaviors (user-profile portion)."""
-        self._require_target()
-        return self.behaviors[:-1]
-
     def target(self) -> BehaviorRecord:
         """The N-th behavior (prediction target)."""
         self._require_target()
         return self.behaviors[-1]
 
     def training_view(self) -> "UserHistory":
-        """This history with the held-out target dropped.
+        """This history with the held-out target dropped: the first N-1 behaviors,
+        which are both the user profile and the training prefix.
 
         A prefix of a valid history is valid, so the view skips the checks of
         ``__post_init__``.

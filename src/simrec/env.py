@@ -182,14 +182,15 @@ def make_episode(
     """
     if len(history) < 2:
         raise ValueError(f"user {history.user!r}: episodes need at least 2 behaviors")
-    profile_text = render_history(catalog, history.profile())
+    view = history.training_view()
+    profile_text = render_history(catalog, view.behaviors)
     target = history.target()
 
     task: TaskKind
     if kind == "selection":
         if candidate_generator is None:
             raise ValueError("selection episodes require a candidate generator")
-        top = candidate_generator.top_k(history.training_view(), cfg.top_k)
+        top = candidate_generator.top_k(view, cfg.top_k)
         ep_seed = derive_seed(cfg.seed, history.user, kind)
         task = _selection(catalog, build_candidate_set(top, target.item, cfg.m, ep_seed))
     elif kind == "judgment":
@@ -387,17 +388,18 @@ class SyntheticEpisodeSource:
     ) -> None:
         if not 1 <= pool_size <= len(world.item_ids):
             raise ValueError(f"pool_size must lie in [1, n_items={len(world.item_ids)}], got {pool_size!r}")
+        if cfg.m >= pool_size:  # the pool holds the positive, so at most pool_size - 1 negatives
+            raise ValueError(f"m must be below pool_size={pool_size}, got {cfg.m}")
         self.world = world
         self.catalog = catalog
         self.cfg = cfg
         self.pool_size = pool_size
-        self._histories = {h.user: h for h in histories}
-        self._users = tuple(h.user for h in histories)
+        self._histories = tuple(histories)
 
     def sample(self, rng: np.random.Generator, kind: str) -> Episode:
-        user = self._users[int(rng.integers(len(self._users)))]
-        history = self._histories[user]
-        profile_text = render_history(self.catalog, history.profile())
+        history = self._histories[int(rng.integers(len(self._histories)))]
+        user = history.user
+        profile_text = render_history(self.catalog, history.training_view().behaviors)
         task: TaskKind
         if kind == "selection":
             task = self._selection_task(user, rng)

@@ -3,7 +3,7 @@
 Three lightweight recall models (popularity, first-order transitions, feature
 embeddings) stand in for heavier sequential recommenders; the evaluation
 harness can score any generator exposing ``fit`` + ``scores``, from which
-``CandidateGenerator`` builds both ``top_k`` and ``rank``. Leave-one-out
+``CandidateGenerator`` builds ``top_k`` and the held-out rank. Leave-one-out
 protocol: each user's last interaction is held out and ranked against the full
 catalog minus that user's training items (ranks are 1-based; ties break by
 item id so rankings are deterministic). A rank is counted, not sorted: it is 1
@@ -44,12 +44,11 @@ def _catalog_index(ids: tuple[ItemId, ...]) -> tuple[tuple[ItemId, ...], dict[It
 class CandidateGenerator(ABC):
     """A fitted recall model that scores every catalog item for a user.
 
-    Subclasses implement ``fit`` and ``scores``; ``top_k`` and ``rank`` are
+    Subclasses implement ``fit`` and ``scores``; ``top_k`` and ``_rank`` are
     built on ``scores`` here, so every generator orders items the same way:
     higher score first, ties to the smaller item id, history items excluded.
-    ``rank`` and ``holdout_ranks`` share one primitive, ``_rank``: a count on
-    ``scores``, which ``FixedOrderGenerator`` replaces with a lookup that
-    returns the same.
+    ``_rank``, which ``holdout_ranks`` reads, is a count on ``scores``;
+    ``FixedOrderGenerator`` replaces it with a lookup that returns the same.
     """
 
     _ids: tuple[ItemId, ...] | None = None  # sorted catalog, the index order of ``scores``
@@ -85,16 +84,11 @@ class CandidateGenerator(ABC):
         ids = self._ids
         return [ids[i] for i in order[unseen[order]][:k]]
 
-    def rank(self, history: UserHistory, item: ItemId) -> int | None:
-        """1-based position of ``item`` in ``top_k(history, None)``, by counting.
-
-        ``None`` when the item is in the history or not in the catalog.
-        """
-        return self._rank(history.user, history.behaviors, item)
-
     def _rank(self, user: UserId, behaviors: tuple[BehaviorRecord, ...], item: ItemId) -> int | None:
-        """``rank`` of ``item`` for ``user`` with ``behaviors`` as the history.
+        """1-based position of ``item`` in ``top_k(history, None)``, by counting, where
+        ``history`` is ``user`` with ``behaviors``.
 
+        ``None`` when the item is in ``behaviors`` or not in the catalog.
         ``behaviors`` is always a history's behaviors or a prefix of them, so
         the history built from them skips the checks of ``UserHistory``.
         """
@@ -353,8 +347,9 @@ def holdout_ranks(
 
     The generator must already be fitted on the training views (behaviors
     1..N-1); the held-out target is ranked against the full catalog minus the
-    user's training items. Each rank is ``generator.rank(history.training_view(),
-    target)``, read through the same primitive straight off the behaviors.
+    user's training items. Each rank is the target's 1-based place in
+    ``generator.top_k(history.training_view(), None)``, counted by ``_rank``
+    straight off the behaviors.
     """
     rank = generator._rank
     out: list[tuple[int | None, bool]] = []
@@ -442,14 +437,14 @@ def classification_metrics(predictions: Sequence[str | None], truths: Sequence[s
 def augment_with_feedback(
     histories: Sequence[UserHistory],
     liked_feedback: Sequence[tuple[UserId, ItemId]],
-    catalog: dict[ItemId, Item] | None = None,
+    catalog: dict[ItemId, Item],
 ) -> list[UserHistory]:
     """Append simulated liked items as pseudo-behaviors at fresh max ordinals.
 
     Refitting a generator on the result is the feedback-driven augmentation
     step. Pre-existing behaviors are preserved bit-exactly; duplicate feedback
-    pairs are applied once with a warning; unknown users (or, with a catalog,
-    unknown items) raise ValueError.
+    pairs are applied once with a warning; unknown users and items outside
+    ``catalog`` raise ValueError.
     """
     by_user = {h.user: list(h.behaviors) for h in histories}
     order = [h.user for h in histories]
@@ -461,7 +456,7 @@ def augment_with_feedback(
         seen_pairs.add((user, item))
         if user not in by_user:
             raise ValueError(f"feedback names unknown user {user!r}")
-        if catalog is not None and item not in catalog:
+        if item not in catalog:
             raise ValueError(f"feedback names unknown item {item!r}")
         behaviors = by_user[user]
         next_ordinal = max(b.timestamp for b in behaviors) + 1

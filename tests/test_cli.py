@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from simrec.cli import main
-from simrec.env import EnvConfig, SyntheticEpisodeSource, export_episodes, generate_synthetic_world
+from simrec.env import EnvConfig, SyntheticEpisodeSource, export_episodes, generate_synthetic_world, load_episodes
 from simrec.fixtures import make_caption_responder, make_uniform_responder, simulation_request, write_synthetic_dataset
 from simrec.llmclient import EndpointConfig, MockTransport, RecordingTransport, complete_batch, text_response
 from simrec.rewards import render_reply
-from conftest import DATA_DIR
+from conftest import DATA_DIR, reply
 from responders import make_always_yes_responder, make_perfect_responder
 
 
@@ -80,6 +80,21 @@ class TestAugmentCommand:
             "--out", tmp_path / "run",
         )
         assert code == 2
+
+    def test_frame_scores_item_outside_the_catalog_is_a_failure_row(self, tmp_path, capsys, caption_replay):
+        rows = (DATA_DIR / "frame_scores.jsonl").read_text()
+        frame_scores = tmp_path / "frame_scores.jsonl"
+        frame_scores.write_text(rows + json.dumps(json.loads(rows.splitlines()[0]) | {"item": "ghost"}) + "\n")
+        out = tmp_path / "run"
+        assert run(
+            "augment",
+            "--interactions", DATA_DIR / "interactions.jsonl",
+            "--frame-scores", frame_scores,
+            "--replay", caption_replay,
+            "--out", out,
+        ) == 0
+        assert "written: 5 skipped: 0 failed: 1" in capsys.readouterr().out
+        assert json.loads((out / "failures.json").read_text()) == [{"item": "ghost", "stage": "unknown item"}]
 
     def test_in_flight_below_one_exits_2(self, tmp_path, capsys):
         code = run(
@@ -409,6 +424,33 @@ class TestSimulateCommand:
         assert run("simulate", "--episodes", episodes, "--replay", replay, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {str(episodes), str(replay)}
+
+    def test_replay_recorded_again_replays_to_the_same_bytes(self, tmp_path, replayed_episodes):
+        episodes, replay = replayed_episodes
+        again = tmp_path / "again.jsonl"
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run("simulate", "--episodes", episodes, "--replay", replay, "--record", again, "--out", first) == 0
+        assert run("simulate", "--episodes", episodes, "--replay", again, "--out", second) == 0
+        for name in ("transcripts.jsonl", "metrics.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_endpoint_run_matches_a_replay_of_the_same_replies(self, tmp_path, replayed_episodes, loopback):
+        episodes_path, _ = replayed_episodes
+        episodes = load_episodes(episodes_path)
+        answer = text_response(render_reply("browsing", "1"))
+        replay = tmp_path / "replay.jsonl"
+        record_simulation(episodes, lambda payload: answer, replay)
+        loopback.replies.extend([reply(200, json.dumps(answer).encode())] * len(episodes))
+        live, replayed = tmp_path / "live", tmp_path / "replayed"
+        assert run("simulate", "--episodes", episodes_path, "--endpoint", loopback.url, "--retries", 0,
+                   "--out", live) == 0
+        assert run("simulate", "--episodes", episodes_path, "--replay", replay, "--out", replayed) == 0
+        assert sorted(json.dumps(body, sort_keys=True) for _, body in loopback.requests) == sorted(
+            json.dumps(simulation_request(ep.prompt).to_payload(), sort_keys=True) for ep in episodes
+        )
+        for name in ("transcripts.jsonl", "metrics.json"):
+            assert (live / name).read_bytes() == (replayed / name).read_bytes(), name
+        assert set(json.loads((live / "manifest.json").read_text())["inputs"]) == {str(episodes_path)}
 
     def test_missing_replay_and_endpoint_exits_2(self, tmp_path, episode_source):
         rng = np.random.default_rng(74)
@@ -747,6 +789,7 @@ class TestConfigValues:
             ("noise", math.inf),
             ("n_items", 1),
             ("dim", 0),
+            ("m", 10),
         ],
     )
     def test_unusable_world_setting_exits_2_naming_the_key(self, key, value, tmp_path, capsys):
@@ -760,6 +803,7 @@ class TestConfigValues:
             "noise": "must be a finite number >= 0, got",
             "n_items": "must be at least 2, got",
             "dim": "must be at least 1, got",
+            "m": "must be below pool_size=10, got",
         }
         assert f"error: {key} {bounds[key]} " in capsys.readouterr().err
         assert not (out / "trace.jsonl").exists()
@@ -804,6 +848,30 @@ class TestConfigValues:
         ) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
         assert (config["n_users"], config["m"]) == (10, 3)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["eval-rec", "--interactions", "{interactions}"], "an output directory is required (--out)"),
+        (["eval-rec", "--out", "{out}"], "interactions file is required"),
+        *((["eval-rec", "--interactions", "{interactions}", "--k", k, "--out", "{out}"], f"bad k list {k!r}")
+          for k in ("0", "a", "10,")),
+        (["eval-rec", "--interactions", "{interactions}", "--slice", "warm", "--out", "{out}"], "unknown slice 'warm'"),
+        (["simulate", "--episodes", "{episodes}", "--replay", "{replay}", "--task", "selection", "--m", 5,
+          "--out", "{out}"],
+         "no episodes left after filtering"),
+        (["simulate", "--episodes", "{episodes}", "--replay", "{replay}", "--retries", -1, "--out", "{out}"],
+         "max_retries must be non-negative"),
+    ],
+)
+def test_usage_error_exits_2_naming_it(argv, message, tmp_path, capsys, replayed_episodes):
+    episodes, replay = replayed_episodes
+    paths = {"interactions": DATA_DIR / "interactions.jsonl", "episodes": episodes, "replay": replay,
+             "out": tmp_path / "run"}
+    assert run(*(str(a).format(**paths) for a in argv)) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "manifest.json").exists()
 
 
 ENDPOINT_DEFAULTS = {"endpoint": None, "record": None, "timeout": 30.0, "retries": 3, "in_flight": 4}

@@ -64,6 +64,17 @@ class TestLoadInteractions:
         assert histories[0].behaviors[1].comment == "nice"
         assert set(catalog) == {"a", "b", "c"}
 
+    @pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
+    def test_whitespace_only_comment_loads_as_none(self, tmp_path, suffix):
+        path = tmp_path / f"x{suffix}"
+        rows = [("u1", "a", 1, "   "), ("u1", "b", 2, " ok ")]
+        if suffix == ".tsv":
+            path.write_text("".join(f"{u}\t{i}\t{o}\t{c}\n" for u, i, o, c in rows))
+        else:
+            write_jsonl(path, [{"user": u, "item": i, "ord": o, "comment": c} for u, i, o, c in rows])
+        _, histories = load_interactions(path)
+        assert [b.comment for b in histories[0].behaviors] == [None, " ok "]
+
     def test_single_row_user_dropped_with_count(self, tmp_path, caplog):
         path = tmp_path / "x.jsonl"
         write_jsonl(path, [{"user": "u1", "item": "a", "ord": 1}])
@@ -438,7 +449,7 @@ class TestTypes:
             user="u",
             behaviors=tuple(BehaviorRecord(item=f"i{k}", timestamp=k) for k in range(1, 5)),
         )
-        assert [b.item for b in history.profile()] == ["i1", "i2", "i3"]
+        assert [b.item for b in history.training_view().behaviors] == ["i1", "i2", "i3"]
         assert history.target().item == "i4"
         assert history.training_view().item_ids() == ("i1", "i2", "i3")
 

@@ -107,7 +107,7 @@ class TestMakeEpisode:
         assert episode.task.candidates.size == 4
         assert episode.truth == episode.task.candidates.truth_index()
         # profile covers the first N-1 behaviors, rendered once in the prompt
-        for record in history.profile():
+        for record in history.training_view().behaviors:
             assert catalog[record.item].display_text() in episode.prompt
         assert episode.prompt.count("User's viewing history:") == 1
         assert episode.prompt.count("Candidate videos for the next watch:") == 1
@@ -150,7 +150,7 @@ class TestMakeEpisode:
 
         catalog, histories = tiny
         history = histories[2]
-        item_id = history.profile()[0].item
+        item_id = history.training_view().behaviors[0].item
         catalog2 = dict(catalog)
         catalog2[item_id] = replace(catalog2[item_id], enhanced_caption="a very specific caption")
         episode = make_episode(history, catalog2, "judgment", EnvConfig(seed=1))
@@ -314,6 +314,14 @@ class TestSyntheticWorld:
         world, catalog, histories = generate_synthetic_world(4, 30, 3, seed=0)
         with pytest.raises(ValueError, match=re.escape(f"pool_size must lie in [1, n_items=30], got {pool_size}")):
             SyntheticEpisodeSource(world, catalog, histories, EnvConfig(), pool_size=pool_size)
+
+    def test_episode_source_rejects_m_not_below_the_pool(self):
+        # the pool holds the positive, so it leaves pool_size - 1 negatives to draw from
+        world, catalog, histories = generate_synthetic_world(4, 30, 3, seed=0)
+        with pytest.raises(ValueError, match=re.escape("m must be below pool_size=8, got 8")):
+            SyntheticEpisodeSource(world, catalog, histories, EnvConfig(top_k=8, m=8), pool_size=8)
+        source = SyntheticEpisodeSource(world, catalog, histories, EnvConfig(top_k=8, m=7), pool_size=8)
+        assert source.sample(np.random.default_rng(0), "selection").task.candidates.size == 8
 
     def test_history_length_may_equal_the_item_count(self):
         _, _, histories = generate_synthetic_world(3, 6, 2, seed=0, history_length=(5, 6), pool_size=4)

@@ -1,5 +1,4 @@
 import http.client
-import http.server
 import io
 import json
 import logging
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, reply
 from responders import scripted_mock
 from simrec.llmclient import (
     ChatMessage,
@@ -168,18 +167,6 @@ class TestComplete:
 OK_BODY = json.dumps(text_response("ok")).encode()
 
 
-def reply(status, body=b"", length=None):
-    """A scripted reply: ``status`` and ``body``, announced as ``length`` bytes (default: its size)."""
-
-    def send(handler):
-        handler.send_response(status)
-        handler.send_header("Content-Length", str(len(body) if length is None else length))
-        handler.end_headers()
-        handler.wfile.write(body)
-
-    return send
-
-
 def hang(handler):
     """Answer nothing until the test ends, so the client's timeout fires first."""
     handler.server.done.wait(10)
@@ -187,48 +174,6 @@ def hang(handler):
 
 def hang_up(handler):
     """Close the connection without a status line."""
-
-
-class Loopback:
-    """A stdlib HTTP server on 127.0.0.1 that answers the n-th POST with ``replies[n]``
-    and keeps each request's headers and JSON body."""
-
-    def __init__(self):
-        self.replies = []
-        self.requests = []
-        owner = self
-
-        class Handler(http.server.BaseHTTPRequestHandler):
-            disable_nagle_algorithm = True  # else delayed ACKs add about 40 ms per request
-
-            def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
-                owner.requests.append((dict(self.headers), json.loads(body)))
-                owner.replies[len(owner.requests) - 1](self)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.server.done = threading.Event()
-        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,))  # poll: quick shutdown
-        self.thread.start()
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
-
-    def close(self):
-        self.server.done.set()
-        self.server.shutdown()
-        self.server.server_close()  # also joins the request threads
-        self.thread.join(10)
-        assert not self.thread.is_alive()
-
-
-@pytest.fixture()
-def loopback(monkeypatch):
-    monkeypatch.setenv("no_proxy", "127.0.0.1")  # never route the test's requests through a proxy
-    server = Loopback()
-    yield server
-    server.close()
 
 
 class TestHttpOverLoopback:

@@ -150,7 +150,7 @@ GENERATORS = {**recommender.GENERATORS, "random": fit_random}
     k=1,
 )
 def test_rank_and_top_k_agree(model, world, k):
-    """``top_k``, ``rank`` and ``holdout_ranks`` read off a stable descending sort of ``scores``, seen items removed."""
+    """``top_k`` and ``holdout_ranks`` read off a stable descending sort of ``scores``, seen items removed."""
     catalog, histories, view = world
     gen = GENERATORS[model](histories, catalog)
     ids = sorted(catalog)
@@ -162,7 +162,6 @@ def test_rank_and_top_k_agree(model, world, k):
     cold = len(view) <= recommender.COLD_MAX_TRAIN_INTERACTIONS
     for item in [*catalog, *OUTSIDE]:  # targets in the catalog, in the view, and outside the catalog
         want = full.index(item) + 1 if item in full else None
-        assert gen.rank(view, item) == want
         assert holdout_ranks(gen, [history("q", [*view.item_ids(), item])]) == [(want, cold)]
     # users with a target and a catalog item to train on (embedding needs one for its profile)
     held_out = [h for h in histories if len(h) >= 2 and set(h.item_ids()[:-1]) & set(catalog)]
@@ -216,7 +215,7 @@ def test_markov_never_offers_items_outside_the_catalog():
     histories = [history("u1", ["A", "x0"]), history("u2", ["A", "x0"]), history("u3", ["A", "B"])]
     gen = fit_markov(histories, catalog_of("A", "B", "C"))
     assert gen.top_k(history("q", ["A"]), None) == ["B", "C"]
-    assert gen.rank(history("q", ["A"]), "x0") is None
+    assert holdout_ranks(gen, [history("q", ["A", "x0"])]) == [(None, True)]
 
 
 class CannedRanker(CandidateGenerator):
@@ -361,25 +360,25 @@ class TestClassificationMetrics:
 class TestAugmentWithFeedback:
     def test_append_bumps_length_and_ordinal(self):
         base = [history("u1", ["A", "B", "C"])]
-        out = augment_with_feedback(base, [("u1", "D")])
+        out = augment_with_feedback(base, [("u1", "D")], catalog_of("A", "B", "C", "D"))
         assert len(out[0]) == 4
         assert out[0].behaviors[-1].item == "D"
         assert out[0].behaviors[-1].timestamp > max(b.timestamp for b in base[0].behaviors)
 
     def test_empty_feedback_is_identity(self):
         base = [history("u1", ["A", "B"])]
-        assert augment_with_feedback(base, []) == base
+        assert augment_with_feedback(base, [], catalog_of("A", "B")) == base
 
     def test_duplicate_pair_applied_once_with_warning(self, caplog):
         base = [history("u1", ["A", "B"])]
         with caplog.at_level(logging.WARNING):
-            out = augment_with_feedback(base, [("u1", "C"), ("u1", "C")])
+            out = augment_with_feedback(base, [("u1", "C"), ("u1", "C")], catalog_of("A", "B", "C"))
         assert len(out[0]) == 3
         assert "duplicate feedback" in caplog.text
 
     def test_unknown_user_rejected(self):
         with pytest.raises(ValueError, match="unknown user"):
-            augment_with_feedback([history("u1", ["A", "B"])], [("ghost", "A")])
+            augment_with_feedback([history("u1", ["A", "B"])], [("ghost", "A")], catalog_of("A", "B"))
 
     def test_unknown_item_rejected_with_catalog(self):
         with pytest.raises(ValueError, match="unknown item"):
@@ -387,13 +386,13 @@ class TestAugmentWithFeedback:
                 [history("u1", ["A", "B"])], [("u1", "ghost")], catalog_of("A", "B")
             )
 
-    def test_empty_item_rejected_without_catalog(self):
-        with pytest.raises(ValueError, match="^behavior item id must be non-empty$"):
-            augment_with_feedback([history("u1", ["A", "B"])], [("u1", "")])
+    def test_empty_item_is_an_unknown_item(self):
+        with pytest.raises(ValueError, match="^feedback names unknown item ''$"):
+            augment_with_feedback([history("u1", ["A", "B"])], [("u1", "")], catalog_of("A", "B"))
 
     def test_existing_behaviors_preserved_bit_exactly(self):
         base = [history("u1", ["A", "B", "C"]), history("u2", ["B", "C"])]
-        out = augment_with_feedback(base, [("u2", "A")])
+        out = augment_with_feedback(base, [("u2", "A")], catalog_of("A", "B", "C"))
         assert out[0] == base[0]
         assert out[1].behaviors[: len(base[1].behaviors)] == base[1].behaviors
 
