@@ -8,9 +8,9 @@ feedback augmentation).
 
 ``main`` runs every command the same way: it resolves the settings as
 defaults < --config JSON < explicit flags, makes the output directory, runs
-the command, and writes the resolved config plus the digest of every input
-file the command names into ``<out>/manifest.json``. It exits 0 on success,
-2 on usage/input errors, and 1 on internal errors.
+the command, and last writes the resolved config plus the digest of every
+input file it names into ``<out>/manifest.json``, which marks a finished
+run. It exits 0 on success, 2 on usage/input errors, and 1 on internal errors.
 
 Each command's settings are declared once, in ``_COMMANDS``: the table builds
 the argparse sub-parsers and the defaults, checks every value read from a
@@ -33,7 +33,7 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .core import Judgment, Selection, attach_captions, load_interactions, write_jsonl
+from .core import Judgment, Selection, atomic_write, attach_captions, load_interactions, write_jsonl, write_npz
 from .env import EnvConfig, Episode, SyntheticEpisodeSource, derive_seed, generate_synthetic_world, load_episodes
 from .grpo import (
     GrpoConfig,
@@ -102,7 +102,8 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, obj: object) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_write(path) as handle:
+        handle.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, options: tuple[_Option, ...]) -> None:
@@ -202,6 +203,8 @@ def _endpoint_config(resolved: dict) -> EndpointConfig:
 
 @contextlib.contextmanager
 def _transport(resolved: dict, cfg: EndpointConfig) -> Iterator[Transport]:
+    if resolved.get("replay") and resolved.get("endpoint"):
+        raise InputError("give --endpoint URL or --replay FILE, not both")
     if resolved.get("replay"):
         transport: Transport = ReplayTransport(_require_file(resolved["replay"], "replay file"))
     elif resolved.get("endpoint"):
@@ -416,7 +419,7 @@ def cmd_train_toy(resolved: dict, out: Path) -> None:
         episodes = [source.sample(eval_rng, kind) for _ in range(n_eval)]
         heldout[kind] = evaluate_policy(policy, episodes)
 
-    np.savez(out / "policy.npz", W=policy.W)
+    write_npz(out / "policy.npz", W=policy.W)
     summary = {
         "iterations": iterations,
         "task": task,
@@ -574,6 +577,6 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Shared domain types and dataset ingestion.
+"""Shared domain types, dataset ingestion, and the writers of every output file.
 
 The vocabulary used by every other module:
 
@@ -12,13 +12,16 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
 import os
+import threading
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 logger = logging.getLogger(__name__)
 
@@ -284,14 +287,69 @@ def _parse_tsv_row(line: str) -> dict:
     return row
 
 
+@contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """Yield a binary handle on ``<path>.tmp``, then ``os.replace`` that file onto ``path``, so a
+    killed run leaves ``path`` whole, old or new. If the block raises, the temp file is deleted."""
+    temp = Path(f"{path}.tmp")
+    try:
+        with open(temp, "wb") as handle:
+            yield handle
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write one sorted-key JSON object per line, replacing the file; returns the row count."""
+    """Stream one sorted-key JSON object per line through ``atomic_write``; returns the row count."""
     count = 0
-    with Path(path).open("w", encoding="utf-8") as handle:
+    with atomic_write(path) as raw, io.TextIOWrapper(raw, encoding="utf-8") as handle:
         for row in rows:
             handle.write(_encode_sorted(row) + "\n")
             count += 1
     return count
+
+
+def write_npz(path: str | Path, **arrays: Any) -> None:
+    """Save arrays to an uncompressed ``.npz`` archive through ``atomic_write``."""
+    import numpy as np  # here, so that importing core, and through it the chat client, does not load numpy
+    with atomic_write(path) as handle:
+        np.savez(handle, **arrays)
+
+
+class JsonlAppender(AbstractContextManager):
+    """Appends sorted-key JSON rows to ``path``, each in one unbuffered ``O_APPEND`` write.
+
+    The first ``append`` cuts off a torn last row left by a crash, then opens the file. No lock
+    is held per row: the kernel appends each write whole, so concurrent rows never interleave."""
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._lock = threading.Lock()  # held only to open or close the file
+        self._file: io.FileIO | None = None
+
+    def append(self, row: dict) -> None:
+        data = (_encode_sorted(row) + "\n").encode("utf-8")
+        file = self._file
+        if file is None:
+            with self._lock:
+                if self._file is None:
+                    drop_torn_last_line(self.path)
+                    self._file = open(self.path, "ab", buffering=0)
+                file = self._file
+        written = file.write(data)
+        if written != len(data):
+            raise OSError(f"{self.path}: short write, {written} of {len(data)} bytes of a row")
+
+    def close(self) -> None:
+        with self._lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
 
 def drop_torn_last_line(path: Path) -> None:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Judgment, Selection, _encode_sorted
+from .core import JsonlAppender, Judgment, Selection
 from .env import Episode, SyntheticEpisodeSource, SyntheticWorld
 from .rewards import render_reply, total_reward
 
@@ -279,9 +279,9 @@ def train(
     takes one surrogate-ascent step. The reference policy is the parameters
     at entry. ``task`` is "judgment", "selection", or "mixed"; mixed runs
     judgment-only for the first ``curriculum_fraction`` of iterations, then
-    interleaves both kinds uniformly. Each trace row is written and flushed to
-    ``trace_path`` before ``progress`` sees it, so a crash keeps the rows of
-    finished iterations. Bit-identical traces for identical seeds.
+    interleaves both kinds uniformly. ``trace_path`` starts fresh, and each row
+    is appended to it before ``progress`` sees it, so a crash keeps the rows
+    of finished iterations. Bit-identical traces for identical seeds.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -291,7 +291,9 @@ def train(
     reference = policy.parameters()
     switch = curriculum_switch_iteration(iterations, curriculum_fraction)
     trace: list[dict] = []
-    with Path(trace_path).open("w", encoding="utf-8") if trace_path is not None else nullcontext() as handle:
+    if trace_path is not None:
+        Path(trace_path).unlink(missing_ok=True)  # a trace starts fresh
+    with JsonlAppender(trace_path) if trace_path is not None else nullcontext() as trace_file:
         for it in range(iterations):
             if task == "mixed":
                 if it < switch:
@@ -331,9 +333,8 @@ def train(
                 "task": kind,
             }
             trace.append(entry)
-            if handle is not None:
-                handle.write(_encode_sorted(entry) + "\n")
-                handle.flush()
+            if trace_file is not None:
+                trace_file.append(entry)
             if progress is not None:
                 progress(entry)
     return trace

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from .core import (
     CAPTION_WORD_LIMIT,
     Item,
     ItemId,
-    _encode_sorted,
+    JsonlAppender,
     drop_torn_last_line,
     iter_jsonl,
     read_jsonl_by_item,
@@ -218,12 +217,12 @@ def batch_augment(
     Resumable: a torn last row left by a crash is cut off, then items that
     already have a caption row in the output are skipped. Items missing from
     the catalog and per-item pipeline errors land in the failure report; the
-    batch continues. Up to ``parallelism`` items are
-    captioned at once, and each row is written and flushed as soon as every
-    earlier item is done, in sorted item order, so an interrupted run leaves
-    a sorted prefix on disk. A run that adds rows to an earlier run's ends by
-    rewriting the file in item order (a temp file, then ``os.replace``), so
-    a rerun after failures or a crash gives the one-shot bytes.
+    batch continues. Up to ``parallelism`` items are captioned at once, and
+    each row is appended (``core.JsonlAppender``) as soon as every earlier
+    item is done, in sorted item order, so an interrupted run leaves a sorted
+    prefix on disk. A run that adds rows to an earlier run's ends by
+    rewriting the file whole in item order (``core.write_jsonl``), so a rerun
+    after failures or a crash gives the one-shot bytes.
     """
     scores = load_frame_scores(frame_scores)
     out_path = Path(out_path)
@@ -253,7 +252,7 @@ def batch_augment(
         except (PipelineError, ClientError) as exc:
             return item_id, exc
 
-    with out_path.open("a", encoding="utf-8") as handle:
+    with JsonlAppender(out_path) as captions:
 
         def write(outcome: tuple[ItemId, str | PipelineError | ClientError]) -> None:
             item_id, result = outcome
@@ -262,14 +261,11 @@ def batch_augment(
             elif isinstance(result, ClientError):
                 report.failures.append((item_id, f"transport: {result}"))
             else:
-                handle.write(_encode_sorted({"item": item_id, "caption": result}) + "\n")
-                handle.flush()
+                captions.append({"item": item_id, "caption": result})
                 report.written += 1
 
         _run_ordered(caption_one, todo, parallelism, write)
     if done and report.written:
         # this run's rows follow the earlier runs' rows: restore the one-shot order
-        temp = out_path.with_name(out_path.name + ".tmp")
-        write_jsonl(temp, sorted((row for _, row in iter_jsonl(out_path)), key=_caption_row_item))
-        os.replace(temp, out_path)
+        write_jsonl(out_path, sorted((row for _, row in iter_jsonl(out_path)), key=_caption_row_item))
     return report

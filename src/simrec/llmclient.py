@@ -9,17 +9,15 @@ endpoint.
 
 A batch runs on at most ``max_in_flight`` plain worker threads. Each worker
 takes the next request in turn, and results are handed on in input order as
-soon as every earlier one is done. ``RecordingTransport`` keeps one unbuffered
-append handle open from its first request and writes each row with one
-``O_APPEND`` write before ``send`` returns; ``close()`` it, or use it as a
-context manager, when the batch ends. No lock is taken per request: taking a
+soon as every earlier one is done. ``RecordingTransport`` appends its rows
+through ``core.JsonlAppender``; ``close()`` it, or use it as a context
+manager, when the batch ends. No lock is taken per request: taking a
 request, popping a replayed reply and storing a result are each one builtin
 operation, which the GIL makes atomic; only a worker that emits takes a lock.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -29,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
-from .core import _encode_sorted, drop_torn_last_line, iter_jsonl
+from .core import JsonlAppender, _encode_sorted, iter_jsonl
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -190,49 +188,17 @@ def text_response(content: str) -> dict:
     return {"choices": [{"message": {"role": "assistant", "content": content}}]}
 
 
-class RecordingTransport(Transport):
-    """Wraps another transport and appends {request, response} JSONL rows.
-
-    The file is opened on the first ``send`` (a run that sends nothing
-    creates none), unbuffered and in append mode. Each row then goes to it in
-    one ``write`` before ``send`` returns, with no lock held: the kernel
-    appends each write whole, so rows from concurrent sends never interleave.
-    An existing file is appended to, once a torn last row left by a crash is
-    cut off, so that the file still replays.
-    """
+class RecordingTransport(JsonlAppender, Transport):
+    """Wraps another transport; each ``send`` appends a {request, response} row to ``path`` before it returns."""
 
     def __init__(self, inner: Transport, path: str | Path) -> None:
+        super().__init__(path)
         self.inner = inner
-        self.path = Path(path)
-        self._lock = threading.Lock()  # held only to open or close the file
-        self._file: io.FileIO | None = None
 
     def send(self, payload: dict) -> dict:
         response = self.inner.send(payload)
-        row = (_encode_sorted({"request": payload, "response": response}) + "\n").encode("utf-8")
-        file = self._file
-        if file is None:
-            with self._lock:
-                if self._file is None:
-                    drop_torn_last_line(self.path)
-                    self._file = open(self.path, "ab", buffering=0)
-                file = self._file
-        written = file.write(row)
-        if written != len(row):
-            raise OSError(f"{self.path}: short write, {written} of {len(row)} bytes of a row")
+        self.append({"request": payload, "response": response})
         return response
-
-    def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
-
-    def __enter__(self) -> RecordingTransport:
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 def _replay_pair(row: dict) -> tuple[str, dict]:

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+import simrec.cli
 from simrec.cli import main
 from simrec.env import EnvConfig, SyntheticEpisodeSource, export_episodes, generate_synthetic_world, load_episodes
 from simrec.fixtures import make_caption_responder, make_uniform_responder, simulation_request, write_synthetic_dataset
@@ -863,6 +864,9 @@ class TestConfigValues:
          "no episodes left after filtering"),
         (["simulate", "--episodes", "{episodes}", "--replay", "{replay}", "--retries", -1, "--out", "{out}"],
          "max_retries must be non-negative"),
+        (["simulate", "--episodes", "{episodes}", "--replay", "{replay}", "--endpoint", "http://127.0.0.1:9",
+          "--out", "{out}"],
+         "give --endpoint URL or --replay FILE, not both"),
     ],
 )
 def test_usage_error_exits_2_naming_it(argv, message, tmp_path, capsys, replayed_episodes):
@@ -872,6 +876,17 @@ def test_usage_error_exits_2_naming_it(argv, message, tmp_path, capsys, replayed
     assert run(*(str(a).format(**paths) for a in argv)) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_internal_error_exits_1_without_a_manifest(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("scorer bug")
+
+    monkeypatch.setattr(simrec.cli, "evaluate_leave_one_out", broken)
+    out = tmp_path / "run"
+    assert run("eval-rec", "--interactions", DATA_DIR / "interactions.jsonl", "--out", out) == 1
+    assert "internal error: scorer bug" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 ENDPOINT_DEFAULTS = {"endpoint": None, "record": None, "timeout": 30.0, "retries": 3, "in_flight": 4}

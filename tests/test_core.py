@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import json
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, REPO_ROOT
 from simrec.core import (
     BehaviorRecord,
     CandidateSet,
@@ -464,3 +465,52 @@ class TestTypes:
 
     def test_word_count_splits_on_whitespace(self):
         assert word_count("a tight story # thriller movie") == 6
+
+
+def test_write_jsonl_that_fails_midway_leaves_the_old_file_whole(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"old": True}])
+    old = path.read_bytes()
+
+    def rows():
+        yield from ({"row": i, "pad": "x" * 40} for i in range(2000))  # past the write buffer, so bytes reach disk
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_jsonl(path, rows())
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+
+
+def _file_writes(path):
+    """``(line, call)`` for every call in ``path`` that writes a file by itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
+        if name == "open":
+            # open(path, mode) or path.open(mode)
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            modes += [k.value for k in node.keywords if k.arg == "mode"]
+            if any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes):
+                found.append((node.lineno, ast.unparse(node)))
+        elif name in ("write_text", "write_bytes") or name.startswith("savez") or (
+            name == "replace" and isinstance(func, ast.Attribute) and ast.unparse(func.value) == "os"
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_only_core_writes_files():
+    """Outside core, every file is written through core's whole-file writer or its row appender."""
+    src = REPO_ROOT / "src" / "simrec"
+    core_writes = [call for _, call in _file_writes(src / "core.py")]
+    assert any(call.startswith("np.savez(") for call in core_writes)
+    assert any(call.startswith("os.replace(") for call in core_writes)
+    assert any("'ab'" in call for call in core_writes)
+    others = {p.name: _file_writes(p) for p in sorted(src.glob("*.py")) if p.name != "core.py"}
+    assert {name: writes for name, writes in others.items() if writes} == {}
+    encoders = {p.name for p in src.glob("*.py") if "_encode_sorted" in p.read_text(encoding="utf-8")}
+    assert encoders == {"core.py", "llmclient.py"}

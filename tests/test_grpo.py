@@ -458,6 +458,14 @@ class TestTrain:
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert [row["iter"] for row in rows] == [0, 1, 2, 3, 4, 5]
 
+    def test_a_second_run_replaces_the_trace(self, small_world, tmp_path):
+        world, _, _, source = small_world
+        path = tmp_path / "trace.jsonl"
+        for iterations in (6, 3):
+            trace = train(source, ToySoftmaxPolicy(world, dim=4), GrpoConfig(group_size=4), iterations, seed=0,
+                          trace_path=path)
+        assert [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()] == trace
+
     def test_trace_schema(self, small_world):
         world, _, _, source = small_world
         policy = ToySoftmaxPolicy(world, dim=4)

@@ -1,6 +1,8 @@
 import json
 import logging
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from simrec.core import CAPTION_WORD_LIMIT, Item, word_count
 from simrec.fixtures import make_caption_responder
 from simrec.ipagent import (
@@ -234,6 +237,46 @@ class TestBatchAugmentStreaming:
             assert [r.getMessage() for r in caplog.records] == [
                 f"{out}: dropped a torn last line ({cut - last_row} bytes)"
             ]
+
+    @pytest.mark.parametrize("kill_at", [2, 5])
+    def test_rerun_after_a_killed_process_gives_the_one_shot_bytes(
+        self, tmp_path, catalog5, bundled_dataset, kill_at
+    ):
+        frame_scores = bundled_dataset["frame_scores"]
+        reference, out = tmp_path / "reference.jsonl", tmp_path / "captions.jsonl"
+        batch_augment(catalog5, frame_scores, CFG, MockTransport(responder=make_caption_responder()), reference)
+        # the child dies, with no cleanup, as the kill_at-th item starts its conversation
+        child = (
+            "import os, sys\n"
+            "from simrec.core import load_interactions\n"
+            "from simrec.fixtures import make_caption_responder\n"
+            "from simrec.ipagent import batch_augment\n"
+            "from simrec.llmclient import EndpointConfig, MockTransport\n"
+            "interactions, frame_scores, out, kill_at = sys.argv[1:]\n"
+            "base, started = make_caption_responder(), []\n"
+            "def responder(payload):\n"
+            "    if len(payload['messages']) == 1:\n"
+            "        started.append(1)\n"
+            "        if len(started) == int(kill_at):\n"
+            "            os._exit(3)\n"
+            "    return base(payload)\n"
+            "catalog, _ = load_interactions(interactions)\n"
+            "batch_augment(catalog, frame_scores, EndpointConfig(max_retries=0), MockTransport(responder), out)\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(bundled_dataset["interactions"]), str(frame_scores), str(out),
+             str(kill_at)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=120,
+        )
+        assert result.returncode == 3, result.stderr
+        expected = reference.read_text().splitlines(keepends=True)
+        assert out.read_text() == "".join(expected[: kill_at - 1])
+
+        report = batch_augment(catalog5, frame_scores, CFG, MockTransport(responder=make_caption_responder()), out)
+        assert (report.written, report.skipped) == (5 - (kill_at - 1), kill_at - 1)
+        assert out.read_bytes() == reference.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["captions.jsonl", "reference.jsonl"]
 
     @settings(max_examples=30, deadline=None)
     @given(failing=st.sets(st.integers(0, 4)), parallelism=st.sampled_from([1, 2]))

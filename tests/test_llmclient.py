@@ -61,10 +61,12 @@ class TestComplete:
     def test_all_attempts_fail_names_endpoint(self):
         transport = scripted_mock([TransportError("https://api.example/v1: timeout")] * 4)
         sleeps = []
+        stats = ClientStats()
         with pytest.raises(TransportError, match="api.example"):
-            complete(request(), CFG, transport=transport, sleep=sleeps.append)
+            complete(request(), CFG, transport=transport, stats=stats, sleep=sleeps.append)
         assert transport.calls == 4  # initial + 3 retries
         assert sleeps == [0.5, 1.0, 2.0]
+        assert (stats.requests, stats.retries) == (1, 3)
 
     def test_backoff_schedule(self):
         sleeps = []
