@@ -262,6 +262,9 @@ def cmd_augment(resolved: dict, out: Path) -> None:
             model=resolved["model"],
             parallelism=cfg.max_in_flight,
         )
+    if not captions_path.exists():
+        # nothing captioned and no earlier file: the printed path must still name a file
+        write_jsonl(captions_path, [])
     _write_json(out / "failures.json", [{"item": i, "stage": s} for i, s in report.failures])
     print(f"captions: {captions_path}")
     print(f"written: {report.written} skipped: {report.skipped} failed: {len(report.failures)}")

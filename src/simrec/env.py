@@ -31,7 +31,7 @@ from .core import (
     write_jsonl,
 )
 
-# Shared response-format instructions; the task-specific goal is substituted in.
+# Shared response-format instructions; each task's header substitutes its goal once.
 _PREAMBLE = (
     "You are a helpful assistant. The assistant first thinks about the user's video "
     "watching history and the comments, analyzes their current status, such as "
@@ -42,8 +42,8 @@ _PREAMBLE = (
     "the answer you predict within <answer> </answer> tags. i.e., "
     "<think> (1) User_status:... </think><answer>(2) Next_video:...  </answer>."
 )
-_SELECTION_GOAL = "which video they are most likely to watch next from the given candidates"
-_JUDGMENT_GOAL = "if they like the next video"
+_SELECTION_HEADER = _PREAMBLE.format(goal="which video they are most likely to watch next from the given candidates")
+_JUDGMENT_HEADER = _PREAMBLE.format(goal="if they like the next video")
 
 
 class CandidateSource(Protocol):
@@ -139,7 +139,7 @@ def render_candidates(catalog: dict[ItemId, Item], candidates: CandidateSet) -> 
 def selection_prompt(history_str: str, captions: Sequence[str]) -> str:
     candidates_str = "\n".join(f"{pos}. {text}" for pos, text in enumerate(captions, start=1))
     return (
-        _PREAMBLE.format(goal=_SELECTION_GOAL)
+        _SELECTION_HEADER
         + f"\nUser's viewing history: {history_str}"
         + f"\nCandidate videos for the next watch: {candidates_str}"
     )
@@ -147,7 +147,7 @@ def selection_prompt(history_str: str, captions: Sequence[str]) -> str:
 
 def judgment_prompt(history_str: str, item_str: str) -> str:
     return (
-        _PREAMBLE.format(goal=_JUDGMENT_GOAL)
+        _JUDGMENT_HEADER
         + f"\nUser's viewing history: {history_str}"
         + f"\nCandidate video for the next watch: {item_str}"
         + "\nWould the user like to watch it? Answer Yes or No."
@@ -293,6 +293,11 @@ class SyntheticWorld:
     def item_vector(self, item: ItemId) -> np.ndarray:
         return self.item_vectors[self._item_index[item]]
 
+    def item_matrix(self, items: Sequence[ItemId]) -> np.ndarray:
+        """The vectors of ``items``, one row each, in one gather."""
+        index = self._item_index
+        return self.item_vectors[[index[item] for item in items]]
+
 
 def generate_synthetic_world(
     n_users: int,
@@ -376,6 +381,10 @@ class SyntheticEpisodeSource:
     from it, and sample negatives from the rest of the pool, so at noise 0 the
     positive is always the affinity argmax among the candidates. Judgment
     episodes draw a balanced like/dislike item by the threshold oracle.
+
+    Each history's profile is rendered once, on the first draw that picks it,
+    and reused after, so a profile item missing from the catalog fails the
+    draws of that history, not the constructor.
     """
 
     def __init__(
@@ -395,11 +404,16 @@ class SyntheticEpisodeSource:
         self.cfg = cfg
         self.pool_size = pool_size
         self._histories = tuple(histories)
+        self._profiles: dict[int, str] = {}  # history index -> rendered profile
 
     def sample(self, rng: np.random.Generator, kind: str) -> Episode:
-        history = self._histories[int(rng.integers(len(self._histories)))]
+        index = int(rng.integers(len(self._histories)))
+        history = self._histories[index]
         user = history.user
-        profile_text = render_history(self.catalog, history.training_view().behaviors)
+        profile_text = self._profiles.get(index)
+        if profile_text is None:
+            profile_text = render_history(self.catalog, history.training_view().behaviors)
+            self._profiles[index] = profile_text
         task: TaskKind
         if kind == "selection":
             task = self._selection_task(user, rng)
@@ -410,12 +424,12 @@ class SyntheticEpisodeSource:
         return _episode(user, profile_text, task, self.catalog)
 
     def _selection_task(self, user: UserId, rng: np.random.Generator) -> Selection:
-        items = self.world.item_ids
-        pool_idx = rng.choice(len(items), size=self.pool_size, replace=False)
-        pool = [items[i] for i in pool_idx]
-        positive = self.world.oracle_pick(user, pool, rng)
+        world = self.world
+        rows = rng.choice(len(world.item_ids), size=self.pool_size, replace=False).tolist()
+        best, _ = world._oracle_choice(world._user_index[user], rows, rng)
+        pool = [world.item_ids[row] for row in rows]
         seed = int(rng.integers(2**63 - 1))
-        return _selection(self.catalog, build_candidate_set(pool, positive, self.cfg.m, seed))
+        return _selection(self.catalog, build_candidate_set(pool, pool[best], self.cfg.m, seed))
 
     def _judgment_task(self, user: UserId, rng: np.random.Generator) -> Judgment:
         want_like = bool(rng.integers(2))

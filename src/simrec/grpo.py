@@ -191,9 +191,7 @@ class ToySoftmaxPolicy:
             return last[1], last[2]
         u = self._vectors.user_vector(episode.user)
         if isinstance(episode.task, Selection):
-            v = np.stack(
-                [self._vectors.item_vector(i) for i in episode.task.candidates.presentation_order]
-            )
+            v = self._vectors.item_matrix(episode.task.candidates.presentation_order)
         elif isinstance(episode.task, Judgment):
             v = self._vectors.item_vector(episode.task.item)[None, :]
         else:
@@ -254,6 +252,19 @@ def truth_token(episode: Episode) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _draw_actions(p: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(p), size=size, p=p)``: the same actions from the same stream.
+
+    This is the inverse-CDF draw numpy runs, without its checks on ``p``
+    beyond finiteness; ``p`` is a softmax, so it is non-negative and sums to 1.
+    """
+    if not np.isfinite(p).all():
+        raise ValueError("action probabilities must be finite")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
+
+
 def curriculum_switch_iteration(iterations: int, fraction: float) -> int:
     """First iteration at which mixed tasks replace judgment-only training."""
     if not 0.0 <= fraction <= 1.0:  # NaN fails both comparisons
@@ -276,7 +287,10 @@ def train(
 
     Each iteration draws one episode, samples G actions from the current
     policy, scores them with the task rewards, normalizes advantages, and
-    takes one surrogate-ascent step. The reference policy is the parameters
+    takes one surrogate-ascent step. The G actions are ``rng.choice``'s draw
+    from the action probabilities, stream and all (``_draw_actions``); each
+    action's reply is rendered once, and every one of the G responses goes
+    through ``total_reward``. The reference policy is the parameters
     at entry. ``task`` is "judgment", "selection", or "mixed"; mixed runs
     judgment-only for the first ``curriculum_fraction`` of iterations, then
     interleaves both kinds uniformly. ``trace_path`` starts fresh, and each row
@@ -307,10 +321,10 @@ def train(
 
             logp = policy.log_probs(episode)
             # One draw for the group reads the same stream as G single draws.
-            actions = rng.choice(len(logp), size=cfg.group_size, p=np.exp(logp))
-            # Python ints: str() of a numpy integer is several times slower.
+            actions = _draw_actions(np.exp(logp), cfg.group_size, rng)
+            replies = [render_action(episode, a) for a in range(len(logp))]
             rewards = np.array(
-                [total_reward(render_action(episode, a), episode.task, truth).total for a in actions.tolist()]
+                [total_reward(replies[a], episode.task, truth).total for a in actions.tolist()]
             )
             logp_sampled = logp[actions]
             group = RolloutGroup(

@@ -42,7 +42,7 @@ _CLOSING = _QUOTES + ".,;:!?"
 ANSWER_LABELS = {"yes": "like", "no": "dislike"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedResponse:
     """Structured decomposition of one agent transcript.
 
@@ -56,7 +56,7 @@ class ParsedResponse:
     action: str | int | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RewardBreakdown:
     """Format + task reward components; total is always their exact sum."""
 
@@ -66,6 +66,17 @@ class RewardBreakdown:
     @property
     def total(self) -> float:
         return self.r_format + self.r_task
+
+
+# Build the two records without the frozen __init__'s object.__setattr__ per field: the
+# slot setters bypass the frozen __setattr__ and, bound once, are cheaper (see core).
+_new_object = object.__new__
+_set_think_text = ParsedResponse.think_text.__set__
+_set_answer_text = ParsedResponse.answer_text.__set__
+_set_tag_order_ok = ParsedResponse.tag_order_ok.__set__
+_set_action = ParsedResponse.action.__set__
+_set_r_format = RewardBreakdown.r_format.__set__
+_set_r_task = RewardBreakdown.r_task.__set__
 
 
 def render_reply(status: str, answer: str) -> str:
@@ -135,12 +146,12 @@ def parse_response(raw: str, task: TaskKind) -> ParsedResponse:
         else:
             raise TypeError(f"unknown task kind: {task!r}")
 
-    return ParsedResponse(
-        think_text=think_text,
-        answer_text=answer_text,
-        tag_order_ok=tag_order_ok,
-        action=action,
-    )
+    parsed = _new_object(ParsedResponse)
+    _set_think_text(parsed, think_text)
+    _set_answer_text(parsed, answer_text)
+    _set_tag_order_ok(parsed, tag_order_ok)
+    _set_action(parsed, action)
+    return parsed
 
 
 def format_reward(parsed: ParsedResponse) -> float:
@@ -185,7 +196,10 @@ def score_parsed(parsed: ParsedResponse, task: TaskKind, truth: str | int) -> Re
         r_task = judgment_reward(parsed, str(truth))
     else:
         r_task = selection_reward(parsed, int(truth), task.candidates.size)
-    return RewardBreakdown(r_format=format_reward(parsed), r_task=r_task)
+    breakdown = _new_object(RewardBreakdown)
+    _set_r_format(breakdown, format_reward(parsed))
+    _set_r_task(breakdown, r_task)
+    return breakdown
 
 
 def total_reward(raw: str, task: TaskKind, truth: str | int) -> RewardBreakdown:

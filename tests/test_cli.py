@@ -72,6 +72,26 @@ class TestAugmentCommand:
             str(DATA_DIR / "interactions.jsonl"), str(DATA_DIR / "frame_scores.jsonl"), str(replay)
         }
 
+    def test_run_that_captions_nothing_leaves_an_empty_captions_file(self, tmp_path, capsys):
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text("")  # answers no request, so every item fails
+        out = tmp_path / "run"
+        assert run(
+            "augment",
+            "--interactions", DATA_DIR / "interactions.jsonl",
+            "--frame-scores", DATA_DIR / "frame_scores.jsonl",
+            "--replay", replay,
+            "--out", out,
+        ) == 0
+        assert "written: 0 skipped: 0 failed: 5" in capsys.readouterr().out
+        assert (out / "captions.jsonl").read_bytes() == b""
+        assert run(
+            "eval-rec",
+            "--interactions", DATA_DIR / "interactions.jsonl",
+            "--captions", out / "captions.jsonl",
+            "--out", tmp_path / "eval",
+        ) == 0
+
     def test_missing_frame_scores_exits_2(self, tmp_path):
         code = run(
             "augment",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from simrec import env
 from simrec.core import CandidateSet, Judgment, Selection
 from simrec.env import (
     Episode,
@@ -322,6 +323,34 @@ class TestSyntheticWorld:
             SyntheticEpisodeSource(world, catalog, histories, EnvConfig(top_k=8, m=8), pool_size=8)
         source = SyntheticEpisodeSource(world, catalog, histories, EnvConfig(top_k=8, m=7), pool_size=8)
         assert source.sample(np.random.default_rng(0), "selection").task.candidates.size == 8
+
+    def test_episode_source_renders_each_profile_once_and_lazily(self, monkeypatch):
+        world, catalog, histories = generate_synthetic_world(4, 30, 3, seed=0)
+        profile_item = histories[0].behaviors[0].item
+        partial = {item_id: item for item_id, item in catalog.items() if item_id != profile_item}
+        # a catalog that misses a profile item fails the draw that renders it, not the constructor
+        broken = SyntheticEpisodeSource(world, partial, histories[:1], EnvConfig(top_k=10, m=3), pool_size=10)
+        for _ in range(2):  # a failed render is not cached
+            with pytest.raises(ValueError, match=re.escape(f"unknown item {profile_item!r}")):
+                broken.sample(np.random.default_rng(0), "judgment")
+
+        renders = []
+        original = env.render_history
+        monkeypatch.setattr(env, "render_history", lambda *args: renders.append(1) or original(*args))
+        source = SyntheticEpisodeSource(world, catalog, histories, EnvConfig(top_k=10, m=3), pool_size=10)
+        rng = np.random.default_rng(1)
+        drawn = [source.sample(rng, kind) for kind in ("selection", "judgment") * 30]
+        assert len(renders) == len({ep.user for ep in drawn}) == len(histories)
+        for ep in drawn:
+            history = next(h for h in histories if h.user == ep.user)
+            assert ep.profile_text == env.render_history(catalog, history.training_view().behaviors)
+
+    def test_item_matrix_equals_the_stacked_item_vectors(self, small_world):
+        world = small_world[0]
+        items = [world.item_ids[row] for row in (5, 0, 59, 5)]
+        assert np.array_equal(world.item_matrix(items), np.stack([world.item_vector(i) for i in items]))
+        with pytest.raises(KeyError):
+            world.item_matrix(["nope"])
 
     def test_history_length_may_equal_the_item_count(self):
         _, _, histories = generate_synthetic_world(3, 6, 2, seed=0, history_length=(5, 6), pool_size=4)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import simrec.grpo
 from simrec.grpo import (
     GrpoConfig,
     RolloutGroup,
     ToySoftmaxPolicy,
+    _draw_actions,
     _log_softmax,
     curriculum_switch_iteration,
     evaluate_policy,
@@ -355,6 +357,25 @@ class TestBitEqualToTheNumpyWrappers:
         assert np.array_equal(objective_gradient(group, cfg, grads), wrapper_gradient(group, cfg, grads))
 
     @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        g=st.integers(2, 32),
+        logits=st.lists(
+            st.one_of(st.floats(-30.0, 30.0), st.floats(-1e300, 1e300), st.sampled_from([-745.0, 0.0, 745.0])),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    # One action left with all the mass, and probabilities below the smallest normal float.
+    @example(seed=0, g=32, logits=[1e300, -1e300, 0.0])
+    @example(seed=1, g=2, logits=[0.0, -740.0, -745.0, -700.0])
+    def test_group_draw_is_numpys_choice(self, seed, g, logits):
+        p = np.exp(_log_softmax(np.array(logits)))
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(_draw_actions(p, g, ours), numpys.choice(len(p), size=g, p=p))
+        assert ours.random() == numpys.random()
+
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=40))
     def test_log_softmax(self, logits):
         logits = np.array(logits)
@@ -414,6 +435,28 @@ class TestTrain:
         # uniform policy over 4 candidates: accuracy hovers near 1/4
         acc = np.mean([t["accuracy"] for t in trace])
         assert 0.15 < acc < 0.35
+
+    def test_every_response_is_scored(self, small_world, monkeypatch):
+        # Each of the G responses goes through total_reward, even when they repeat an
+        # action: perfbench/test_gates.py::test_train_run_fails_on_perturbed_reward
+        # perturbs one call by its count and expects the iteration it falls in. Scoring
+        # each distinct action once (ROADMAP direction 2) changes this test and that gate together.
+        world, _, _, source = small_world
+        calls = []
+        original = simrec.grpo.total_reward
+        monkeypatch.setattr(simrec.grpo, "total_reward", lambda *args: calls.append(1) or original(*args))
+        train(source, ToySoftmaxPolicy(world, dim=4), GrpoConfig(group_size=8), 30, seed=4, task="mixed")
+        assert len(calls) == 8 * 30
+
+    def test_non_finite_weights_fail_before_any_reward(self, small_world, monkeypatch):
+        world, _, _, source = small_world
+        calls = []
+        monkeypatch.setattr(simrec.grpo, "total_reward", lambda *args: calls.append(1))
+        policy = ToySoftmaxPolicy(world, dim=4)
+        policy.W[1, 2] = math.nan
+        with pytest.raises(ValueError, match="must be finite"):
+            train(source, policy, GrpoConfig(group_size=4), 5, seed=0)
+        assert calls == []
 
     def test_deterministic_trace(self, small_world, tmp_path):
         world, _, _, source = small_world

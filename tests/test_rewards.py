@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import string
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from simrec.rewards import (
     _ENUM_PREFIX_RE,
     ANSWER_LABELS,
     ParsedResponse,
+    RewardBreakdown,
     format_reward,
     judgment_reward,
     parse_response,
@@ -140,6 +143,20 @@ class TestRewardTables:
         assert format_reward(parsed) == 1.0
         assert judgment_reward(parsed, "like") == 1.0
         assert judgment_reward(parsed, "dislike") == -1.0
+
+    def test_built_records_equal_constructed_ones_and_stay_frozen(self):
+        # parse_response and score_parsed fill the slots directly, past __init__
+        parsed = parse_response("<think>t</think><answer>Yes</answer>", JUDGE)
+        assert parsed == ParsedResponse("t", "Yes", True, "yes")
+        breakdown = total_reward("<think>t</think><answer>Yes</answer>", JUDGE, "like")
+        assert breakdown == RewardBreakdown(r_format=1.0, r_task=1.0)
+        assert hash(breakdown) == hash(RewardBreakdown(1.0, 1.0))
+        assert replace(breakdown, r_task=2.0) == RewardBreakdown(1.0, 2.0)
+        for record, field in ((parsed, "action"), (breakdown, "r_task")):
+            assert not hasattr(record, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, field, None)
+            assert pickle.loads(pickle.dumps(record)) == record
 
     def test_selection_reward_out_of_range_action(self):
         parsed = ParsedResponse("t", "9", True, 9)
